@@ -26,7 +26,7 @@ the others observe stays exactly at the honest ``eta``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -88,39 +88,10 @@ def plan_attack_fraction(channel: ChannelConfig) -> float:
     return min(1.0, 2.0 * (channel.eta_prime - channel.eta) / channel.eta_prime)
 
 
-@dataclass
-class StoreEntry:
-    """Bookkeeping for one intercepted round (amplitudes live in the round registry)."""
-
-    round_id: int
-    holds_pair: bool = False  # the true signal pair is parked in Bob's lab
-    fake_half: bool = False  # Bob's half of the substituted pair is unmeasured
-    consumed: bool = False  # recovery measurements have been performed
-
-
-class AdversaryStore:
-    """Per-round storage index of kept photons and fake-pair bookkeeping."""
-
-    def __init__(self) -> None:
-        self._entries: dict[int, StoreEntry] = {}
-
-    def add(self, entry: StoreEntry) -> None:
-        if entry.round_id in self._entries:
-            raise ValueError(f"round {entry.round_id} already stored")
-        self._entries[entry.round_id] = entry
-
-    def get(self, round_id: int) -> StoreEntry | None:
-        return self._entries.get(round_id)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def rounds(self) -> list[int]:
-        return sorted(self._entries)
-
-
 # Registry labels: the intercepted photons keep their honest labels B and C;
 # the substituted pair is (B', C') with C' forwarded to the second agent.
+# The round's registry is the only record of what Bob still holds: the parked
+# signal pair while B and C are both unmeasured, his fake half while B' is.
 FAKE_BOB = "B'"
 FAKE_CHARLIE = "C'"
 
@@ -148,7 +119,6 @@ class ActiveAdversary:
             if strategy.attack_fraction is not None
             else plan_attack_fraction(channel)
         )
-        self.store = AdversaryStore()
 
     # -- interception -----------------------------------------------------
 
@@ -180,9 +150,6 @@ class ActiveAdversary:
             rec.attack_mounted = True
             rec.registry.add(bell_state(BellOutcome.PHI_PLUS, (FAKE_BOB, FAKE_CHARLIE)))
             rec.charlie_label = FAKE_CHARLIE
-            self.store.add(
-                StoreEntry(rec.round_id, holds_pair=True, fake_half=True)
-            )
             rec.delivered_charlie = loss_filter(keep, rng)
             if not rec.delivered_charlie:
                 rec.registry.discard(FAKE_CHARLIE, rng)
@@ -201,17 +168,13 @@ class ActiveAdversary:
         )
         outcome = BELL_ORDER[result.index]
         rec.bell_outcome = outcome
-        entry = self.store.get(rec.round_id)
-        entry.fake_half = False
         correction = _GOOD_OUTCOMES.get(outcome)
         if correction is None:
             rec.branch = "bad"
             rec.declared_loss_cheat = True
-            entry.holds_pair = False
         else:
             rec.branch = "good"
-            rec.registry.apply("B", correction)
-            entry.holds_pair = False  # C was consumed; only the honest-like B is left
+            rec.registry.apply("B", correction)  # only the honest-like B is left
 
     # -- announcements ----------------------------------------------------
 
@@ -284,9 +247,6 @@ class ActiveAdversary:
         result = rec.registry.measure_pair((FAKE_BOB, "C"), bell_basis_vectors(), rng)
         outcome = BELL_ORDER[result.index]
         rec.bell_outcome = outcome
-        entry = self.store.get(rec.round_id)
-        entry.fake_half = False
-        entry.holds_pair = False
         correction = _GOOD_OUTCOMES.get(outcome)
         if correction is not None:
             rec.branch = "good"
@@ -317,8 +277,6 @@ class ActiveAdversary:
         # The kept first photon is the genuine prepared one, so honest
         # answers keep this leg clean; the substituted far leg is what the
         # hardened check will catch.  Declare at the advertised rate.
-        entry = self.store.get(rec.round_id)
-        entry.holds_pair = False
         rec.branch = "skipped"
         if loss_filter(self.channel.eta / self.channel.eta_prime, rng):
             rec.declared_bob = True
@@ -349,14 +307,11 @@ class ActiveAdversary:
         for class 1, its rotated twin for class 2), so one joint measurement
         distinguishes them with certainty.
         """
-        entry = self.store.get(rec.round_id)
-        if entry is None or not entry.holds_pair:
+        if not (rec.registry.has("B") and rec.registry.has("C")):
             raise ValueError(f"round {rec.round_id}: no parked pair to measure")
         vectors = bell_basis_vectors() if basis_class == 1 else rotated_bell_basis_vectors()
         result = rec.registry.measure_pair(("B", "C"), vectors, rng)
         outcome = BELL_ORDER[result.index]
-        entry.holds_pair = False
-        entry.consumed = True
         if outcome is BellOutcome.PSI_PLUS:
             return 0
         if outcome is BellOutcome.PHI_MINUS:
@@ -372,9 +327,6 @@ class ActiveAdversary:
         so measuring the kept half in the announced basis yields the other
         agent's outcome with certainty.
         """
-        entry = self.store.get(rec.round_id)
-        if entry is None or not entry.fake_half:
+        if not rec.registry.has(FAKE_BOB):
             raise ValueError(f"round {rec.round_id}: fake half no longer available")
-        entry.fake_half = False
-        entry.consumed = True
         return rec.registry.measure(FAKE_BOB, charlie_basis, rng).outcome

@@ -8,14 +8,18 @@ arithmetic over the signal state definitions and shipped as a JSON artifact;
 a test regenerates it and asserts equality, so the checked-in file can never
 drift from the algebra.
 
-Scheme tags: ``"kki"`` is the four-state entangled-pair scheme whose agents
-measure in Z/X; ``"hbb"`` is the GHZ scheme whose agents measure in X/Y and
-whose dealer measures her own photon instead of choosing a state.
+The schemes are the members of :class:`Scheme`.  ``Scheme.KKI`` is the
+four-state entangled-pair scheme whose agents measure in Z/X;
+``Scheme.HARDENED_KKI`` decodes its entangled rounds by the same rules;
+``Scheme.HBB`` is the GHZ scheme whose agents measure in X/Y and whose dealer
+measures her own photon instead of choosing a state.  The artifact keys each
+scheme's block by its ``value``.
 """
 
 from __future__ import annotations
 
 import json
+from enum import Enum
 from functools import lru_cache
 from importlib import resources
 
@@ -30,17 +34,21 @@ from .qcore import (
     signal_state,
 )
 
-SCHEME_KKI = "kki"
-SCHEME_HBB = "hbb"
 
-ALLOWED_BASES: dict[str, tuple[Basis, ...]] = {
-    SCHEME_KKI: (Basis.Z, Basis.X),
-    SCHEME_HBB: (Basis.X, Basis.Y),
-}
+class Scheme(Enum):
+    KKI = "kki"
+    HBB = "hbb"
+    HARDENED_KKI = "hardened-kki"
 
-# Dealer basis <-> announced class for the GHZ scheme.
+    @property
+    def agent_bases(self) -> tuple[Basis, Basis]:
+        if self is Scheme.HBB:
+            return (Basis.X, Basis.Y)
+        return (Basis.Z, Basis.X)
+
+
+# Dealer basis -> announced class for the GHZ scheme.
 HBB_CLASS_OF_BASIS = {Basis.X: 1, Basis.Y: 2}
-HBB_BASIS_OF_CLASS = {1: Basis.X, 2: Basis.Y}
 
 _DATA_FILE = "bit_conventions.json"
 _PROB_ATOL = 1e-9
@@ -63,9 +71,9 @@ def hbb_reduced_state(alice_basis: Basis, outcome: int) -> StateVector:
     return post
 
 
-def _class_states(scheme: str) -> dict[int, dict[int, StateVector]]:
+def _class_states(scheme: Scheme) -> dict[int, dict[int, StateVector]]:
     """Map basis class -> dealer bit -> two-qubit state over (B, C)."""
-    if scheme == SCHEME_KKI:
+    if scheme is Scheme.KKI:
         return {
             1: {
                 0: signal_state(SignalTag.PSI_PLUS),
@@ -76,7 +84,7 @@ def _class_states(scheme: str) -> dict[int, dict[int, StateVector]]:
                 1: signal_state(SignalTag.PHI_MINUS_ROT),
             },
         }
-    if scheme == SCHEME_HBB:
+    if scheme is Scheme.HBB:
         # Dealer bit convention: outcome +1 encodes bit 0.
         return {
             1: {
@@ -124,7 +132,8 @@ def generate_convention_table() -> dict:
     is read off the bit-0 state and verified against the bit-1 state.
     """
     table: dict = {"schema": 1, "schemes": {}}
-    for scheme, bases in ALLOWED_BASES.items():
+    for scheme in (Scheme.KKI, Scheme.HBB):  # HARDENED_KKI shares the KKI block
+        bases = scheme.agent_bases
         classes: dict = {}
         for basis_class, by_bit in _class_states(scheme).items():
             pairs: dict = {}
@@ -149,12 +158,12 @@ def generate_convention_table() -> dict:
                         charlie_map[oc] = bob_map[ob]  # XOR must give bit 0
                     if len(charlie_map) != 2:
                         raise AssertionError(
-                            f"degenerate support for {scheme} class {basis_class}"
+                            f"degenerate support for {scheme.value} class {basis_class}"
                         )
                     for ob, oc in s1:
                         if bob_map[ob] ^ charlie_map[oc] != 1:
                             raise AssertionError(
-                                f"inconsistent convention for {scheme} class "
+                                f"inconsistent convention for {scheme.value} class "
                                 f"{basis_class} {bob_basis.value}|{charlie_basis.value}"
                             )
                     pairs[f"{bob_basis.value}|{charlie_basis.value}"] = {
@@ -163,11 +172,11 @@ def generate_convention_table() -> dict:
                     }
             if len(pairs) != 2:
                 raise AssertionError(
-                    f"{scheme} class {basis_class}: expected 2 correlated "
+                    f"{scheme.value} class {basis_class}: expected 2 correlated "
                     f"pairings, found {sorted(pairs)}"
                 )
             classes[str(basis_class)] = pairs
-        table["schemes"][scheme] = {
+        table["schemes"][scheme.value] = {
             "allowed_bases": [b.value for b in bases],
             "classes": classes,
         }
@@ -187,39 +196,63 @@ def load_convention_table() -> dict:
     return json.loads(text)
 
 
-def _validate_basis(scheme: str, basis: Basis, who: str) -> None:
-    if scheme not in ALLOWED_BASES:
-        raise ValueError(f"unknown scheme: {scheme!r}")
-    if basis not in ALLOWED_BASES[scheme]:
-        allowed = "/".join(b.value for b in ALLOWED_BASES[scheme])
-        raise ValueError(
-            f"{who} basis {basis.value} is not used by scheme {scheme!r} "
-            f"(allowed: {allowed})"
-        )
+def _build_rules() -> dict[tuple[Scheme, int, Basis, Basis], dict | None]:
+    """Key the artifact by (scheme, class, Bob's basis, Charlie's basis).
+
+    Every pairing of a scheme's agent bases has an entry: the rule
+    (party -> outcome -> bit) of a correlated pairing, ``None`` otherwise.
+    """
+    schemes = load_convention_table()["schemes"]
+    rules = {}
+    for scheme in Scheme:
+        block = schemes[(Scheme.KKI if scheme is Scheme.HARDENED_KKI else scheme).value]
+        for basis_class, pairs in block["classes"].items():
+            for bob_basis in scheme.agent_bases:
+                for charlie_basis in scheme.agent_bases:
+                    rule = pairs.get(f"{bob_basis.value}|{charlie_basis.value}")
+                    rules[(scheme, int(basis_class), bob_basis, charlie_basis)] = (
+                        None
+                        if rule is None
+                        else {
+                            party: {+1: by_sign["+"], -1: by_sign["-"]}
+                            for party, by_sign in rule.items()
+                        }
+                    )
+    return rules
+
+
+_RULES = _build_rules()
 
 
 def correlated_bases(
     basis_class: int,
     bob_basis: Basis,
     charlie_basis: Basis,
-    scheme: str = SCHEME_KKI,
+    scheme: Scheme = Scheme.KKI,
 ) -> bool:
     """Whether this basis pairing yields correlated outcomes for the class.
 
-    Raises ``ValueError`` for bases the scheme never uses (e.g. Y in the
-    entangled-pair scheme) or an unknown class.
+    Raises ``ValueError`` for an unknown scheme, bases the scheme never uses
+    (e.g. Y in the entangled-pair scheme) or an unknown class.
     """
-    _validate_basis(scheme, bob_basis, "bob")
-    _validate_basis(scheme, charlie_basis, "charlie")
-    classes = load_convention_table()["schemes"][scheme]["classes"]
-    key = str(basis_class)
-    if key not in classes:
-        raise ValueError(f"unknown basis class {basis_class} for scheme {scheme!r}")
-    return f"{bob_basis.value}|{charlie_basis.value}" in classes[key]
+    try:
+        return _RULES[(scheme, basis_class, bob_basis, charlie_basis)] is not None
+    except KeyError:
+        pass
+    if not isinstance(scheme, Scheme):
+        raise ValueError(f"unknown scheme: {scheme!r}")
+    allowed = scheme.agent_bases
+    for who, basis in (("bob", bob_basis), ("charlie", charlie_basis)):
+        if basis not in allowed:
+            raise ValueError(
+                f"{who} basis {basis.value} is not used by scheme {scheme.value!r} "
+                f"(allowed: {'/'.join(b.value for b in allowed)})"
+            )
+    raise ValueError(f"unknown basis class {basis_class} for scheme {scheme.value!r}")
 
 
 def convention_bit(
-    scheme: str,
+    scheme: Scheme,
     basis_class: int,
     bob_basis: Basis,
     charlie_basis: Basis,
@@ -231,14 +264,14 @@ def convention_bit(
         raise ValueError(f"party must be 'bob' or 'charlie', got {party!r}")
     if outcome not in (+1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    if not correlated_bases(basis_class, bob_basis, charlie_basis, scheme):
+    rule = _RULES.get((scheme, basis_class, bob_basis, charlie_basis))
+    if rule is None:
+        correlated_bases(basis_class, bob_basis, charlie_basis, scheme)  # bad input raises
         raise ValueError(
             f"bases {bob_basis.value}|{charlie_basis.value} are not correlated "
-            f"for class {basis_class} in scheme {scheme!r}"
+            f"for class {basis_class} in scheme {scheme.value!r}"
         )
-    classes = load_convention_table()["schemes"][scheme]["classes"]
-    rule = classes[str(basis_class)][f"{bob_basis.value}|{charlie_basis.value}"]
-    return int(rule[party][_sign_key(outcome)])
+    return rule[party][outcome]
 
 
 def hbb_dealer_bit(outcome: int) -> int:

@@ -24,7 +24,6 @@ import numpy as np
 from .adversary import AttackKind, AttackStrategy, plan_attack_fraction
 from .channel import ChannelConfig
 from .conventions import (
-    SCHEME_KKI,
     convention_bit,
     correlated_bases,
     generate_convention_table,
@@ -80,7 +79,12 @@ class ExperimentConfig:
     repetitions: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.repetitions, int) or self.repetitions < 1:
+        # bool is an int subclass; True must not pass as 1.
+        if (
+            isinstance(self.repetitions, bool)
+            or not isinstance(self.repetitions, int)
+            or self.repetitions < 1
+        ):
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions!r}")
 
 
@@ -165,21 +169,19 @@ def run_experiment(
 
 _PRESET_TABLE: dict[str, dict] = {
     "honest": dict(),
-    "opaque-vulnerable": dict(strategy=lambda: AttackStrategy()),
-    "opaque-refined": dict(
-        strategy=lambda: AttackStrategy(), ordering=OrderingPolicy.REFINED
-    ),
-    "opaque-no-cheat": dict(strategy=lambda: AttackStrategy(cheating_enabled=False)),
+    "opaque-vulnerable": dict(strategy=AttackStrategy()),
+    "opaque-refined": dict(strategy=AttackStrategy(), ordering=OrderingPolicy.REFINED),
+    "opaque-no-cheat": dict(strategy=AttackStrategy(cheating_enabled=False)),
     "opaque-sifting-classical": dict(
-        strategy=lambda: AttackStrategy(), ordering=OrderingPolicy.SIFTING_FIRST
+        strategy=AttackStrategy(), ordering=OrderingPolicy.SIFTING_FIRST
     ),
     "opaque-sifting-state-sharing": dict(
-        strategy=lambda: AttackStrategy(),
+        strategy=AttackStrategy(),
         ordering=OrderingPolicy.SIFTING_FIRST,
         mode=Mode.STATE_SHARING,
     ),
-    "early-bell": dict(strategy=lambda: AttackStrategy(kind=AttackKind.EARLY_BELL)),
-    "hardened": dict(strategy=lambda: AttackStrategy(), scheme=Scheme.HARDENED_KKI),
+    "early-bell": dict(strategy=AttackStrategy(kind=AttackKind.EARLY_BELL)),
+    "hardened": dict(strategy=AttackStrategy(), scheme=Scheme.HARDENED_KKI),
     "hbb": dict(scheme=Scheme.HBB),
 }
 
@@ -204,7 +206,6 @@ def preset_experiment(
         raise ValueError(
             f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}"
         ) from None
-    strategy_factory = entry.get("strategy")
     session = SessionConfig(
         channel=ChannelConfig(eta=eta, eta_prime=eta_prime),
         rounds=rounds,
@@ -217,7 +218,7 @@ def preset_experiment(
     return ExperimentConfig(
         scenario=name,
         session=session,
-        strategy=None if strategy_factory is None else strategy_factory(),
+        strategy=entry.get("strategy"),
         repetitions=repetitions,
     )
 
@@ -585,8 +586,8 @@ def _correlated_error(vec4: np.ndarray, basis_class: int, bit: int) -> float:
             for i_c, o_c in ((0, +1), (1, -1)):
                 ket = np.kron(bb.eigenvectors[i_b], cb.eigenvectors[i_c])
                 prob = abs(np.vdot(ket, vec4)) ** 2
-                k_b = convention_bit(SCHEME_KKI, basis_class, bb, cb, "bob", o_b)
-                k_c = convention_bit(SCHEME_KKI, basis_class, bb, cb, "charlie", o_c)
+                k_b = convention_bit(Scheme.KKI, basis_class, bb, cb, "bob", o_b)
+                k_c = convention_bit(Scheme.KKI, basis_class, bb, cb, "charlie", o_c)
                 if (k_b ^ k_c) != bit:
                     err += prob
         errors.append(err)

@@ -38,16 +38,9 @@ from typing import Union
 
 import numpy as np
 
-from .adversary import ActiveAdversary, AttackKind, AttackStrategy
+from .adversary import FAKE_BOB, ActiveAdversary, AttackKind, AttackStrategy
 from .channel import ChannelConfig, transmit
-from .conventions import (
-    HBB_BASIS_OF_CLASS,
-    SCHEME_HBB,
-    SCHEME_KKI,
-    convention_bit,
-    correlated_bases,
-    hbb_reduced_state,
-)
+from .conventions import Scheme, convention_bit, correlated_bases, hbb_reduced_state
 from .preparation import (
     HardenedPrep,
     HbbPrep,
@@ -86,33 +79,12 @@ __all__ = [
     "extract_bits",
     "validate_announcement_order",
     "export_transcript_jsonl",
-    "hbb_reduce",
-    "prepare_hardened_test_round",
-    "PreparedState",
-    "HbbPrep",
-    "HardenedPrep",
 ]
 
 
 class Mode(Enum):
     CLASSICAL_KEY = "classical"
     STATE_SHARING = "state-sharing"
-
-
-class Scheme(Enum):
-    KKI = "kki"
-    HBB = "hbb"
-    HARDENED_KKI = "hardened-kki"
-
-    @property
-    def conventions_scheme(self) -> str:
-        return SCHEME_HBB if self is Scheme.HBB else SCHEME_KKI
-
-    @property
-    def agent_bases(self) -> tuple[Basis, Basis]:
-        if self is Scheme.HBB:
-            return (Basis.X, Basis.Y)
-        return (Basis.Z, Basis.X)
 
 
 class OrderingPolicy(Enum):
@@ -136,6 +108,11 @@ class ConfigError(ValueError):
         self.message = message
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool (``True`` would otherwise pass as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     """Everything a session needs apart from the adversary's strategy."""
@@ -153,7 +130,7 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.channel, ChannelConfig):
             raise ConfigError("channel", "expected a ChannelConfig")
-        if not isinstance(self.rounds, int) or self.rounds < 1:
+        if not _is_int(self.rounds) or self.rounds < 1:
             raise ConfigError("rounds", f"need a positive integer, got {self.rounds!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(
@@ -168,7 +145,7 @@ class SessionConfig:
                 "efficiency_tolerance",
                 f"must lie in (0, 1), got {self.efficiency_tolerance}",
             )
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed", f"need a non-negative integer, got {self.seed!r}")
 
 
@@ -253,10 +230,6 @@ class CheckReport:
 
 def _entangled(prep: Preparation) -> bool:
     return not isinstance(prep, HardenedPrep)
-
-
-def _prep_class(prep: Preparation) -> int:
-    return prep.basis_class
 
 
 def _prep_state(prep: Preparation, labels: tuple[str, str] = ("B", "C")) -> StateVector:
@@ -508,7 +481,7 @@ def _emit_dealer_phase(ann: _Announcer, rounds: list[RoundRecord]) -> None:
         both = bool(rec.declared_bob and rec.declared_charlie)
         anyone = bool(rec.declared_bob or rec.declared_charlie)
         if both and _entangled(rec.preparation):
-            ann.emit("alice", "class", rec.round_id, _prep_class(rec.preparation))
+            ann.emit("alice", "class", rec.round_id, rec.preparation.basis_class)
         if rec.kind is RoundKind.TEST and anyone:
             kind, payload = _dealer_reveal_payload(rec.preparation)
             ann.emit("alice", kind, rec.round_id, payload)
@@ -523,15 +496,13 @@ def _recovery_phase(
     for rec in rounds:
         if rec.kind is not RoundKind.KEY or not rec.attack_mounted:
             continue
-        entry = adversary.store.get(rec.round_id)
-        if entry is None:
-            continue
-        both = bool(rec.declared_bob and rec.declared_charlie)
-        if both and entry.holds_pair:
+        registry = rec.registry  # what Bob still holds: B and C parked, B' kept
+        both = rec.declared_bob and rec.declared_charlie
+        if both and registry.has("B") and registry.has("C"):
             rec.recovered_dealer_bit = adversary.recover_dealer_bit(
-                rec, _prep_class(rec.preparation), rec._rng
+                rec, rec.preparation.basis_class, rec._rng
             )
-        if rec.declared_charlie and entry.fake_half:
+        if rec.declared_charlie and registry.has(FAKE_BOB):
             rec.recovered_charlie_outcome = adversary.recover_charlie_outcome(
                 rec, rec.charlie_basis, rec._rng
             )
@@ -549,18 +520,15 @@ def _announce_designation_first(
             _resolve_key_declaration(rec, adversary)
         rec.declared_charlie = rec.delivered_charlie
     _emit_detections(ann, rounds)
-    if config.ordering is OrderingPolicy.REFINED:
-        _emit_refined_test_blocks(ann, rounds)
-        for rec in rounds:
-            if rec.kind is RoundKind.KEY:
-                _finish_key_round_bob(rec, config, adversary)
-        _emit_bases(ann, rounds, include_test=False)
+    refined = config.ordering is OrderingPolicy.REFINED
+    if refined:
+        _emit_refined_test_blocks(ann, rounds)  # test bases go out here
     else:
         _emit_test_outcomes_plain(ann, rounds)
-        for rec in rounds:
-            if rec.kind is RoundKind.KEY:
-                _finish_key_round_bob(rec, config, adversary)
-        _emit_bases(ann, rounds, include_test=True)
+    for rec in rounds:
+        if rec.kind is RoundKind.KEY:
+            _finish_key_round_bob(rec, config, adversary)
+    _emit_bases(ann, rounds, include_test=not refined)
     _emit_dealer_phase(ann, rounds)
     _recovery_phase(rounds, adversary)
 
@@ -678,7 +646,7 @@ def extract_bits(record: RoundRecord, announced_class: int) -> tuple[int, int]:
     """
     if record.bob_outcome is None or record.charlie_outcome is None:
         raise ValueError(f"round {record.round_id}: outcomes are incomplete")
-    scheme = SCHEME_HBB if isinstance(record.preparation, HbbPrep) else SCHEME_KKI
+    scheme = Scheme.HBB if isinstance(record.preparation, HbbPrep) else Scheme.KKI
     k_b = convention_bit(
         scheme, announced_class, record.bob_basis, record.charlie_basis,
         "bob", record.bob_outcome,
@@ -740,25 +708,26 @@ class SessionTally:
 
 def _tally_message_round(rec: RoundRecord, tally: SessionTally) -> None:
     tally.message_rounds += 1
-    if rec.attacked and rec.attack_mounted:
+    mounted = rec.attacked and rec.attack_mounted
+    if mounted:
         tally.attacked_message_mounted += 1
-        joint = rec.registry.joint_state(("B", "C"))
-        if joint is not None and _entangled(rec.preparation):
-            ov = overlap(joint, _prep_state(rec.preparation))
-            tally.adversary_min_overlap = min(tally.adversary_min_overlap, ov)
-            if ov >= 1.0 - ATOL:
-                tally.adversary_pairs_intact += 1
-    elif rec.delivered_bob and rec.delivered_charlie and not rec.attacked:
-        joint = rec.registry.joint_state(("B", "C"))
-        if joint is not None and _entangled(rec.preparation):
-            if overlap(joint, _prep_state(rec.preparation)) >= 1.0 - ATOL:
-                tally.shared_pairs_intact += 1
+    elif not (rec.delivered_bob and rec.delivered_charlie and not rec.attacked):
+        return
+    joint = rec.registry.joint_state(("B", "C"))
+    if joint is None or not _entangled(rec.preparation):
+        return
+    ov = overlap(joint, _prep_state(rec.preparation))
+    intact = int(ov >= 1.0 - ATOL)
+    if mounted:
+        tally.adversary_min_overlap = min(tally.adversary_min_overlap, ov)
+        tally.adversary_pairs_intact += intact
+    else:
+        tally.shared_pairs_intact += intact
 
 
 def tally_transcript(transcript: SessionTranscript) -> SessionTally:
     """Count everything the checks and reports need from one transcript."""
     config = transcript.config
-    scheme = config.scheme.conventions_scheme
     tally = SessionTally()
     for rec in transcript.rounds:
         tally.rounds += 1
@@ -794,7 +763,7 @@ def tally_transcript(transcript: SessionTranscript) -> SessionTally:
             if both and rec.bob_basis is not None and rec.charlie_basis is not None:
                 tally.basis_rounds += 1
                 correlated = correlated_bases(
-                    prep.basis_class, rec.bob_basis, rec.charlie_basis, scheme
+                    prep.basis_class, rec.bob_basis, rec.charlie_basis, config.scheme
                 )
                 if correlated:
                     tally.sifted_rounds += 1
@@ -905,7 +874,6 @@ def distill_keys(
     """
     if transcript.config.mode is Mode.STATE_SHARING:
         raise ValueError("state-sharing sessions distill no classical key")
-    scheme = transcript.config.scheme.conventions_scheme
     k_a: list[int] = []
     k_b: list[int] = []
     k_c: list[int] = []
@@ -916,7 +884,7 @@ def distill_keys(
             continue
         prep = rec.preparation
         if not correlated_bases(
-            prep.basis_class, rec.bob_basis, rec.charlie_basis, scheme
+            prep.basis_class, rec.bob_basis, rec.charlie_basis, transcript.config.scheme
         ):
             continue
         bits = extract_bits(rec, prep.basis_class)

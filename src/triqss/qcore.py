@@ -318,27 +318,6 @@ def custom_state(labels: tuple[str, ...], amplitudes) -> StateVector:
     return StateVector(tuple(labels), amps / norm)
 
 
-def prepare_state(kind, labels: tuple[str, ...] | None = None) -> StateVector:
-    """Dispatch constructor for the named states used by the protocols.
-
-    ``kind`` may be a :class:`SignalTag`, a :class:`BellOutcome`, the string
-    ``"ghz"``, or a basis-eigenstate string like ``"z+"`` / ``"x-"`` / ``"y+"``.
-    """
-    if isinstance(kind, SignalTag):
-        return signal_state(kind, labels or ("B", "C"))
-    if isinstance(kind, BellOutcome):
-        return bell_state(kind, labels or ("Q1", "Q2"))
-    if isinstance(kind, str):
-        if kind == "ghz":
-            return ghz_state(labels or ("A", "B", "C"))
-        if len(kind) == 2 and kind[0].upper() in "ZXY" and kind[1] in "+-":
-            basis = Basis(kind[0].upper())
-            sign = +1 if kind[1] == "+" else -1
-            label = (labels or ("Q",))[0]
-            return basis_ket(basis, sign, label)
-    raise ValueError(f"unknown state kind: {kind!r}")
-
-
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; label sets must be disjoint, total size at most 3."""
     if set(a.labels) & set(b.labels):

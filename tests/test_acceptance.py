@@ -14,6 +14,7 @@ import pytest
 from triqss.adversary import AttackStrategy
 from triqss.channel import ChannelConfig
 from triqss.conventions import (
+    Scheme,
     convention_bit,
     correlated_bases,
     generate_convention_table,
@@ -151,11 +152,11 @@ def swapped_round_error_probability(rec):
             if p < 1e-12:
                 continue
             k_b = convention_bit(
-                "kki", prep.basis_class, rec.bob_basis, rec.charlie_basis,
+                Scheme.KKI, prep.basis_class, rec.bob_basis, rec.charlie_basis,
                 "bob", ob,
             )
             k_c = convention_bit(
-                "kki", prep.basis_class, rec.bob_basis, rec.charlie_basis,
+                Scheme.KKI, prep.basis_class, rec.bob_basis, rec.charlie_basis,
                 "charlie", oc,
             )
             if k_b ^ k_c != prep.bit:
@@ -190,11 +191,11 @@ def test_criterion_06_no_cheat_detectability():
         if not correlated_bases(prep.basis_class, rec.bob_basis, rec.charlie_basis):
             continue
         k_b = convention_bit(
-            "kki", prep.basis_class, rec.bob_basis, rec.charlie_basis,
+            Scheme.KKI, prep.basis_class, rec.bob_basis, rec.charlie_basis,
             "bob", rec.bob_outcome,
         )
         k_c = convention_bit(
-            "kki", prep.basis_class, rec.bob_basis, rec.charlie_basis,
+            Scheme.KKI, prep.basis_class, rec.bob_basis, rec.charlie_basis,
             "charlie", rec.charlie_outcome,
         )
         p_err = swapped_round_error_probability(rec)

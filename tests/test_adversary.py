@@ -5,15 +5,13 @@ import pytest
 
 from triqss.adversary import (
     ActiveAdversary,
-    AdversaryStore,
     AttackKind,
     AttackStrategy,
     PASSIVE,
-    StoreEntry,
     plan_attack_fraction,
 )
 from triqss.channel import ChannelConfig
-from triqss.conventions import convention_bit, correlated_bases
+from triqss.conventions import Scheme, convention_bit, correlated_bases
 from triqss.protocol import (
     RoundKind,
     SessionConfig,
@@ -66,23 +64,6 @@ class TestStrategy:
             )
 
 
-class TestStore:
-    def test_add_get_and_rounds(self):
-        store = AdversaryStore()
-        store.add(StoreEntry(round_id=4, holds_pair=True))
-        store.add(StoreEntry(round_id=2, fake_half=True))
-        assert len(store) == 2
-        assert store.rounds() == [2, 4]
-        assert store.get(4).holds_pair
-        assert store.get(9) is None
-
-    def test_rejects_duplicate_round(self):
-        store = AdversaryStore()
-        store.add(StoreEntry(round_id=1))
-        with pytest.raises(ValueError, match="already stored"):
-            store.add(StoreEntry(round_id=1))
-
-
 def attacked_session(**overrides):
     """Full-interception session on a lossless channel."""
     strategy_fields = dict(
@@ -126,10 +107,10 @@ def bad_branch_error_probability(rec):
             if p < 1e-12:
                 continue
             k_b = convention_bit(
-                "kki", prep.basis_class, rec.bob_basis, rec.charlie_basis, "bob", ob
+                Scheme.KKI, prep.basis_class, rec.bob_basis, rec.charlie_basis, "bob", ob
             )
             k_c = convention_bit(
-                "kki", prep.basis_class, rec.bob_basis, rec.charlie_basis,
+                Scheme.KKI, prep.basis_class, rec.bob_basis, rec.charlie_basis,
                 "charlie", oc,
             )
             if k_b ^ k_c != prep.bit:
@@ -153,11 +134,11 @@ class TestNoCheatBranches:
                 continue
             k_b, k_c = (
                 convention_bit(
-                    "kki", prep.basis_class, rec.bob_basis, rec.charlie_basis,
+                    Scheme.KKI, prep.basis_class, rec.bob_basis, rec.charlie_basis,
                     "bob", rec.bob_outcome,
                 ),
                 convention_bit(
-                    "kki", prep.basis_class, rec.bob_basis, rec.charlie_basis,
+                    Scheme.KKI, prep.basis_class, rec.bob_basis, rec.charlie_basis,
                     "charlie", rec.charlie_outcome,
                 ),
             )
@@ -184,11 +165,11 @@ class TestNoCheatBranches:
                 continue
             k_b, k_c = (
                 convention_bit(
-                    "kki", prep.basis_class, rec.bob_basis, rec.charlie_basis,
+                    Scheme.KKI, prep.basis_class, rec.bob_basis, rec.charlie_basis,
                     "bob", rec.bob_outcome,
                 ),
                 convention_bit(
-                    "kki", prep.basis_class, rec.bob_basis, rec.charlie_basis,
+                    Scheme.KKI, prep.basis_class, rec.bob_basis, rec.charlie_basis,
                     "charlie", rec.charlie_outcome,
                 ),
             )
@@ -237,11 +218,11 @@ class TestLossCheating:
                 continue
             k_b, k_c = (
                 convention_bit(
-                    "kki", prep.basis_class, rec.bob_basis, rec.charlie_basis,
+                    Scheme.KKI, prep.basis_class, rec.bob_basis, rec.charlie_basis,
                     "bob", rec.bob_outcome,
                 ),
                 convention_bit(
-                    "kki", prep.basis_class, rec.bob_basis, rec.charlie_basis,
+                    Scheme.KKI, prep.basis_class, rec.bob_basis, rec.charlie_basis,
                     "charlie", rec.charlie_outcome,
                 ),
             )

@@ -9,11 +9,7 @@ import numpy as np
 import pytest
 
 from triqss.conventions import (
-    ALLOWED_BASES,
-    HBB_BASIS_OF_CLASS,
-    HBB_CLASS_OF_BASIS,
-    SCHEME_HBB,
-    SCHEME_KKI,
+    Scheme,
     convention_bit,
     correlated_bases,
     generate_convention_table,
@@ -70,13 +66,13 @@ def joint_distribution(state4, bob_basis, charlie_basis):
     return dist
 
 
-SCHEME_STATES = {SCHEME_KKI: KKI_STATES, SCHEME_HBB: HBB_STATES}
+SCHEME_STATES = {Scheme.KKI: KKI_STATES, Scheme.HBB: HBB_STATES}
 
 
 class TestConventionAgainstOracle:
-    @pytest.mark.parametrize("scheme", [SCHEME_KKI, SCHEME_HBB])
+    @pytest.mark.parametrize("scheme", [Scheme.KKI, Scheme.HBB], ids=lambda s: s.value)
     def test_every_pairing_is_deterministic_or_uniform(self, scheme):
-        bases = [b.value for b in ALLOWED_BASES[scheme]]
+        bases = [b.value for b in scheme.agent_bases]
         for basis_class in (1, 2):
             for bb in bases:
                 for cb in bases:
@@ -108,13 +104,13 @@ class TestConventionAgainstOracle:
 
     def test_correlated_pairing_truth_table(self):
         expect = {
-            (SCHEME_KKI, 1): {("Z", "Z"), ("X", "X")},
-            (SCHEME_KKI, 2): {("Z", "X"), ("X", "Z")},
-            (SCHEME_HBB, 1): {("X", "X"), ("Y", "Y")},
-            (SCHEME_HBB, 2): {("X", "Y"), ("Y", "X")},
+            (Scheme.KKI, 1): {("Z", "Z"), ("X", "X")},
+            (Scheme.KKI, 2): {("Z", "X"), ("X", "Z")},
+            (Scheme.HBB, 1): {("X", "X"), ("Y", "Y")},
+            (Scheme.HBB, 2): {("X", "Y"), ("Y", "X")},
         }
         for (scheme, basis_class), pairs in expect.items():
-            bases = [b.value for b in ALLOWED_BASES[scheme]]
+            bases = [b.value for b in scheme.agent_bases]
             got = {
                 (bb, cb)
                 for bb in bases
@@ -122,6 +118,26 @@ class TestConventionAgainstOracle:
                 if correlated_bases(basis_class, Basis(bb), Basis(cb), scheme)
             }
             assert got == pairs
+
+    def test_hardened_scheme_decodes_by_the_kki_rules(self):
+        assert Scheme.HARDENED_KKI.agent_bases == Scheme.KKI.agent_bases
+        bases = Scheme.KKI.agent_bases
+        for basis_class in (1, 2):
+            for bb in bases:
+                for cb in bases:
+                    correlated = correlated_bases(basis_class, bb, cb, Scheme.KKI)
+                    assert correlated == correlated_bases(
+                        basis_class, bb, cb, Scheme.HARDENED_KKI
+                    )
+                    if not correlated:
+                        continue
+                    for party in ("bob", "charlie"):
+                        for outcome in (+1, -1):
+                            assert convention_bit(
+                                Scheme.HARDENED_KKI, basis_class, bb, cb, party, outcome
+                            ) == convention_bit(
+                                Scheme.KKI, basis_class, bb, cb, party, outcome
+                            )
 
 
 class TestTableArtifact:
@@ -131,7 +147,7 @@ class TestTableArtifact:
     def test_table_shape(self):
         table = load_convention_table()
         assert table["schema"] == 1
-        assert set(table["schemes"]) == {SCHEME_KKI, SCHEME_HBB}
+        assert set(table["schemes"]) == {Scheme.KKI.value, Scheme.HBB.value}
         for scheme, block in table["schemes"].items():
             assert set(block["classes"]) == {"1", "2"}
             for pairs in block["classes"].values():
@@ -146,25 +162,27 @@ class TestTableArtifact:
 class TestValidation:
     def test_rejects_basis_outside_scheme(self):
         with pytest.raises(ValueError, match="not used by scheme"):
-            correlated_bases(1, Basis.Y, Basis.Z, SCHEME_KKI)
+            correlated_bases(1, Basis.Y, Basis.Z, Scheme.KKI)
         with pytest.raises(ValueError, match="not used by scheme"):
-            correlated_bases(1, Basis.X, Basis.Z, SCHEME_HBB)
+            correlated_bases(1, Basis.X, Basis.Z, Scheme.HBB)
 
     def test_rejects_unknown_scheme_or_class(self):
         with pytest.raises(ValueError, match="unknown scheme"):
             correlated_bases(1, Basis.Z, Basis.Z, "e91")
+        with pytest.raises(ValueError, match="unknown scheme"):
+            correlated_bases(1, Basis.Z, Basis.Z, "kki")  # a scheme is a Scheme
         with pytest.raises(ValueError, match="unknown basis class"):
-            correlated_bases(3, Basis.Z, Basis.Z, SCHEME_KKI)
+            correlated_bases(3, Basis.Z, Basis.Z, Scheme.KKI)
 
     def test_convention_bit_rejects_uncorrelated_pairing(self):
         with pytest.raises(ValueError, match="not correlated"):
-            convention_bit(SCHEME_KKI, 1, Basis.Z, Basis.X, "bob", +1)
+            convention_bit(Scheme.KKI, 1, Basis.Z, Basis.X, "bob", +1)
 
     def test_convention_bit_rejects_bad_party_or_outcome(self):
         with pytest.raises(ValueError, match="party"):
-            convention_bit(SCHEME_KKI, 1, Basis.Z, Basis.Z, "alice", +1)
+            convention_bit(Scheme.KKI, 1, Basis.Z, Basis.Z, "alice", +1)
         with pytest.raises(ValueError, match="outcome"):
-            convention_bit(SCHEME_KKI, 1, Basis.Z, Basis.Z, "bob", 0)
+            convention_bit(Scheme.KKI, 1, Basis.Z, Basis.Z, "bob", 0)
 
 
 class TestHbbHelpers:
@@ -173,10 +191,6 @@ class TestHbbHelpers:
         assert hbb_dealer_bit(-1) == 1
         with pytest.raises(ValueError, match="outcome"):
             hbb_dealer_bit(2)
-
-    def test_class_basis_maps_are_inverse(self):
-        for basis, cls in HBB_CLASS_OF_BASIS.items():
-            assert HBB_BASIS_OF_CLASS[cls] is basis
 
     @pytest.mark.parametrize(
         "basis,outcome,expected",

@@ -52,6 +52,11 @@ class TestPresets:
         with pytest.raises(ValueError, match="unknown preset"):
             preset_experiment("mitm")
 
+    @pytest.mark.parametrize("repetitions", [0, True, 1.0])
+    def test_rejects_bad_repetitions(self, repetitions):
+        with pytest.raises(ValueError, match="repetitions"):
+            preset_experiment("honest", repetitions=repetitions)
+
     def test_preset_wiring(self):
         honest = preset_experiment("honest")
         assert honest.strategy is None

@@ -43,6 +43,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="rounds") as err:
             honest_config(rounds=0)
         assert err.value.field == "rounds"
+        with pytest.raises(ConfigError, match="rounds") as err:
+            honest_config(rounds=True)
+        assert err.value.field == "rounds"
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5])
     def test_rejects_bad_test_fraction(self, fraction):
@@ -58,6 +61,9 @@ class TestConfigValidation:
     def test_rejects_bad_seed_and_channel(self):
         with pytest.raises(ConfigError, match="seed"):
             honest_config(seed=-1)
+        with pytest.raises(ConfigError, match="seed") as err:
+            honest_config(seed=False)
+        assert err.value.field == "seed"
         with pytest.raises(ConfigError, match="channel"):
             SessionConfig(channel="not a channel")
 

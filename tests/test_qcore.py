@@ -23,7 +23,6 @@ from triqss.qcore import (
     measure_qubit,
     measure_two_qubit_basis,
     overlap,
-    prepare_state,
     project_pair,
     project_qubit,
     qubit_state,
@@ -173,14 +172,13 @@ class TestCanonicalStates:
         with pytest.raises(ValueError, match="zero norm"):
             custom_state(("Q",), [0.0, 0.0])
 
-    def test_prepare_state_dispatch(self):
-        assert prepare_state(SignalTag.PSI_PLUS).labels == ("B", "C")
-        assert prepare_state(BellOutcome.PHI_PLUS, ("B'", "C'")).labels == ("B'", "C'")
-        assert prepare_state("ghz").num_qubits == 3
-        ket = prepare_state("x-", ("B",))
+    def test_named_state_constructors(self):
+        assert signal_state(SignalTag.PSI_PLUS).labels == ("B", "C")
+        assert bell_state(BellOutcome.PHI_PLUS, ("B'", "C'")).labels == ("B'", "C'")
+        assert ghz_state().num_qubits == 3
+        ket = basis_ket(Basis.X, -1, "B")
+        assert ket.labels == ("B",)
         np.testing.assert_allclose(ket.amplitudes, [SQ2, -SQ2], atol=ATOL)
-        with pytest.raises(ValueError, match="unknown state kind"):
-            prepare_state("w")
 
 
 class TestOperators:
