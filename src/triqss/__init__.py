@@ -46,6 +46,7 @@ from .protocol import (
     CheckReport,
     ConfigError,
     Mode,
+    NoTestDataError,
     OrderingPolicy,
     RoundKind,
     RoundRecord,
@@ -78,6 +79,7 @@ __all__ = [
     "HardenedPrep",
     "HbbPrep",
     "Mode",
+    "NoTestDataError",
     "OrderingPolicy",
     "PASSIVE",
     "PRESET_NAMES",

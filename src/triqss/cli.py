@@ -10,7 +10,8 @@ Subcommands
 * ``selftest``: fast end-to-end sanity checks.
 
 Exit codes: 0 on success, 1 when a verification or an ``--expect`` assertion
-fails, 2 on configuration errors.
+fails, 2 on configuration errors, 3 when a run leaves no usable test data to
+check (for example too few rounds for any test round to survive).
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ import argparse
 import json
 import sys
 
-from .channel import ChannelConfig
 from .harness import (
     PRESET_NAMES,
     preset_experiment,
     run_experiment,
-    report_row,
     selftest,
     sweep_pe,
     verify_table1,
@@ -36,6 +35,7 @@ from .harness import (
 from .protocol import (
     ConfigError,
     Mode,
+    NoTestDataError,
     OrderingPolicy,
     export_transcript_jsonl,
 )
@@ -46,6 +46,7 @@ _MODES = {m.value: m for m in Mode}
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
+EXIT_NO_TEST_DATA = 3
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -304,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_NO_TEST_DATA if isinstance(exc, NoTestDataError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

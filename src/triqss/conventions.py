@@ -23,8 +23,6 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 
-import numpy as np
-
 from .qcore import (
     Basis,
     SignalTag,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adversary import AttackKind, AttackStrategy, plan_attack_fraction
+from .adversary import AttackKind, AttackStrategy
 from .channel import ChannelConfig
 from .conventions import (
     convention_bit,
@@ -37,7 +37,7 @@ from .protocol import (
     SessionConfig,
     SessionTally,
     SessionTranscript,
-    check_eavesdropping,
+    _is_int,
     distill_keys,
     evaluate_tally,
     run_session,
@@ -79,12 +79,7 @@ class ExperimentConfig:
     repetitions: int = 1
 
     def __post_init__(self) -> None:
-        # bool is an int subclass; True must not pass as 1.
-        if (
-            isinstance(self.repetitions, bool)
-            or not isinstance(self.repetitions, int)
-            or self.repetitions < 1
-        ):
+        if not _is_int(self.repetitions) or self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions!r}")
 
 
@@ -130,7 +125,6 @@ def run_experiment(
         if transcripts is not None:
             transcripts.append(transcript)
     check = evaluate_tally(tally, config.session)
-    active = config.strategy is not None and config.strategy.kind is not AttackKind.PASSIVE
     return SessionReport(
         scenario=config.scenario,
         session=config.session,
@@ -139,15 +133,9 @@ def run_experiment(
         tally=tally,
         check=check,
         attacked_fraction_observed=ratio(tally.attacked_rounds, tally.rounds),
-        planned_attack_fraction=(
-            None
-            if not active
-            else (
-                config.strategy.attack_fraction
-                if config.strategy.attack_fraction is not None
-                else plan_attack_fraction(config.session.channel)
-            )
-        ),
+        # The resolved fraction depends on the strategy and channel only, so
+        # every repetition's transcript carries the same value.
+        planned_attack_fraction=transcript.attack_fraction,
         ka_accuracy=(
             None
             if tally.dealer_bit_recoveries == 0

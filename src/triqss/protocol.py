@@ -24,9 +24,10 @@ Announcement orderings
   last.  This shuffles bases, not detections, so loss cheating survives it.
 * ``SIFTING_FIRST``: all detections are declared before any designation.
   In classical mode this removes the loss-declaration branch on test rounds.
-  In state-sharing mode there is nothing to declare before designation
-  (message photons are unmeasured), so the schedule degenerates to the
-  designation-first one.
+
+In state-sharing mode every ordering, ``REFINED`` included, runs the plain
+designation-first schedule: there is nothing to declare before designation
+(message photons are unmeasured) and no interleave on test rounds.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .qcore import (
     Basis,
     BellOutcome,
     SIGNAL_ORDER,
-    SignalTag,
     StateVector,
     ghz_state,
     overlap,
@@ -68,6 +68,7 @@ __all__ = [
     "OrderingPolicy",
     "RoundKind",
     "ConfigError",
+    "NoTestDataError",
     "SessionConfig",
     "Announcement",
     "RoundRecord",
@@ -106,6 +107,10 @@ class ConfigError(ValueError):
         super().__init__(f"{field_name}: {message}")
         self.field = field_name
         self.message = message
+
+
+class NoTestDataError(ValueError):
+    """A finished session left no usable test data to run the check on."""
 
 
 def _is_int(value) -> bool:
@@ -350,112 +355,12 @@ def _physical_round(
     return rec
 
 
-class _Announcer:
-    def __init__(self) -> None:
-        self.log: list[Announcement] = []
-        self._seq = 0
-
-    def emit(self, party: str, kind: str, round_id: int | None, payload) -> None:
-        self.log.append(Announcement(self._seq, party, kind, round_id, payload))
-        self._seq += 1
-
-
-def _resolve_test_declaration(
-    rec: RoundRecord,
-    config: SessionConfig,
-    adversary: ActiveAdversary | None,
-    loss_branch_available: bool,
-) -> None:
-    """Fix Bob's detection answer (and backing measurement) for a test round."""
-    rng = rec._rng
-    bases = config.scheme.agent_bases
-    if adversary is None:
-        rec.declared_bob = rec.delivered_bob
-    elif rec.attacked:
-        adversary.respond_test(rec, rng, loss_branch_available, bases)
-    else:
-        rec.declared_bob = adversary.untouched_test_declaration(rec, rng)
-    if config.mode is Mode.STATE_SHARING and rec.declared_bob and rec.bob_outcome is None:
-        # Honest-path test measurement happens only now, after designation.
-        rec.bob_basis = _agent_basis(bases, rng)
-        rec.bob_outcome = rec.registry.measure("B", rec.bob_basis, rng).outcome
-
-
-def _resolve_key_declaration(
-    rec: RoundRecord, adversary: ActiveAdversary | None
-) -> None:
-    if adversary is None:
-        rec.declared_bob = rec.delivered_bob
-    else:
-        rec.declared_bob = adversary.key_declaration(rec, rec._rng)
-
-
-def _finish_key_round_bob(
-    rec: RoundRecord, config: SessionConfig, adversary: ActiveAdversary | None
-) -> None:
-    """Make sure a declared key round has a basis (real or faked) for Bob."""
-    if not rec.declared_bob or rec.bob_basis is not None:
-        return
-    # Only an attacked, deferred round can reach this point unmeasured: Bob
-    # never measured B and announces a random basis plus (later, privately)
-    # a fabricated key bit.
-    rng = rec._rng
-    rec.bob_basis = adversary.fake_key_basis(rng, config.scheme.agent_bases)
-    rec.bob_outcome = +1 if rng.random() < 0.5 else -1
-
-
-def _emit_detections(ann: _Announcer, rounds: list[RoundRecord]) -> None:
-    for rec in rounds:
-        if rec.declared_bob is not None:
-            ann.emit("bob", "detection", rec.round_id, bool(rec.declared_bob))
-        if rec.declared_charlie is not None:
-            ann.emit("charlie", "detection", rec.round_id, bool(rec.declared_charlie))
-
-
-def _emit_test_outcomes_plain(ann: _Announcer, rounds: list[RoundRecord]) -> None:
-    for rec in rounds:
-        if rec.kind is not RoundKind.TEST:
-            continue
-        if rec.declared_bob:
-            ann.emit("bob", "outcome", rec.round_id, int(rec.bob_outcome))
-        if rec.declared_charlie:
-            ann.emit("charlie", "outcome", rec.round_id, int(rec.charlie_outcome))
-
-
-def _emit_bases(
-    ann: _Announcer, rounds: list[RoundRecord], include_test: bool
-) -> None:
-    for rec in rounds:
-        if rec.kind is RoundKind.MESSAGE:
-            continue
-        if rec.kind is RoundKind.TEST and not include_test:
-            continue
-        if rec.declared_bob and rec.bob_basis is not None:
-            ann.emit("bob", "basis", rec.round_id, rec.bob_basis.value)
-        if rec.declared_charlie and rec.charlie_basis is not None:
-            ann.emit("charlie", "basis", rec.round_id, rec.charlie_basis.value)
-
-
-def _emit_refined_test_blocks(ann: _Announcer, rounds: list[RoundRecord]) -> None:
-    """Per test round: outcomes first, then bases in reverse declarer order."""
-    for rec in rounds:
-        if rec.kind is not RoundKind.TEST:
-            continue
-        declarers = []
-        if rec.declared_bob:
-            declarers.append("bob")
-        if rec.declared_charlie:
-            declarers.append("charlie")
-        if not declarers:
-            continue
-        if len(declarers) == 2 and rec._rng.random() < 0.5:
-            declarers.reverse()
-        outcome_of = {"bob": rec.bob_outcome, "charlie": rec.charlie_outcome}
-        basis_of = {"bob": rec.bob_basis, "charlie": rec.charlie_basis}
-        for party in declarers:
-            ann.emit(party, "outcome", rec.round_id, int(outcome_of[party]))
-        for party in reversed(declarers):
-            ann.emit(party, "basis", rec.round_id, basis_of[party].value)
+def _declarations(rec: RoundRecord) -> tuple[tuple, tuple]:
+    """(party, declared, outcome, basis) for each agent, Bob first."""
+    return (
+        ("bob", rec.declared_bob, rec.bob_outcome, rec.bob_basis),
+        ("charlie", rec.declared_charlie, rec.charlie_outcome, rec.charlie_basis),
+    )
 
 
 def _dealer_reveal_payload(prep: Preparation) -> tuple[str, object]:
@@ -474,30 +379,126 @@ def _dealer_reveal_payload(prep: Preparation) -> tuple[str, object]:
     }
 
 
-def _emit_dealer_phase(ann: _Announcer, rounds: list[RoundRecord]) -> None:
+def _announce(
+    config: SessionConfig,
+    rounds: list[RoundRecord],
+    adversary: ActiveAdversary | None,
+) -> list[Announcement]:
+    """Run the public discussion over finished rounds; return it in order.
+
+    The schedules differ in three places only: whether detections are
+    declared before the designation (``SIFTING_FIRST``), whether a test
+    round's outcomes and bases interleave (``REFINED``), and whether a test
+    photon is measured only after designation (state-sharing mode, where
+    every ordering runs the designation-first schedule).  Message rounds
+    carry no declaration, so every step below skips them.
+
+    Each round draws only from its own generator and registry, so a round's
+    later steps may run as soon as its own earlier ones have.
+    """
+    log: list[Announcement] = []
+
+    def emit(party: str, kind: str, round_id: int | None, payload) -> None:
+        log.append(Announcement(len(log), party, kind, round_id, payload))
+
+    def designate() -> None:
+        test_ids = tuple(r.round_id for r in rounds if r.kind is RoundKind.TEST)
+        emit("alice", "designation", None, test_ids)
+
+    state_sharing = config.mode is Mode.STATE_SHARING
+    sifting = not state_sharing and config.ordering is OrderingPolicy.SIFTING_FIRST
+    refined = not state_sharing and config.ordering is OrderingPolicy.REFINED
+    bases = config.scheme.agent_bases
+
+    if not sifting:
+        designate()
+    for rec in rounds:
+        if rec.kind is RoundKind.MESSAGE:
+            continue
+        rng = rec._rng
+        if state_sharing and rec.delivered_charlie:
+            # Simulation order within the round: Charlie's measurement first
+            # so factor merges stay small; the operations act on disjoint
+            # photons, so announcement order is unaffected.
+            rec.charlie_basis = _agent_basis(bases, rng)
+            rec.charlie_outcome = rec.registry.measure(
+                rec.charlie_label, rec.charlie_basis, rng
+            ).outcome
+        if adversary is None:
+            rec.declared_bob = rec.delivered_bob
+        elif sifting:
+            rec.declared_bob = adversary.sifting_declaration(rec, rng)
+        elif rec.kind is RoundKind.KEY:
+            rec.declared_bob = adversary.key_declaration(rec, rng)
+        elif rec.attacked:
+            adversary.respond_test(
+                rec, rng, loss_branch_available=True, agent_bases=bases
+            )
+        else:
+            rec.declared_bob = adversary.untouched_test_declaration(rec, rng)
+        if state_sharing and rec.declared_bob and rec.bob_outcome is None:
+            rec.bob_basis = _agent_basis(bases, rng)
+            rec.bob_outcome = rec.registry.measure("B", rec.bob_basis, rng).outcome
+        rec.declared_charlie = rec.delivered_charlie
+    for rec in rounds:
+        for party, declared, _, _ in _declarations(rec):
+            if declared is not None:
+                emit(party, "detection", rec.round_id, bool(declared))
+    if sifting:
+        # Hardened test rounds are fixed at preparation time; an undetected
+        # one simply yields no check data.  Otherwise designation happens
+        # among the rounds both agents declared detected.
+        if config.scheme is not Scheme.HARDENED_KKI:
+            for rec in rounds:
+                if rec.test_coin and not (rec.declared_bob and rec.declared_charlie):
+                    rec.kind = RoundKind.KEY
+        designate()
+
+    for rec in rounds:
+        if rec.kind is not RoundKind.TEST:
+            continue
+        if sifting and adversary is not None and rec.attacked and rec.declared_bob:
+            # The detection is already public; a wrong Bell outcome can no
+            # longer be converted into a loss.
+            adversary.respond_test(
+                rec, rec._rng, loss_branch_available=False, agent_bases=bases
+            )
+        said = [d for d in _declarations(rec) if d[1]]
+        if refined and len(said) == 2 and rec._rng.random() < 0.5:
+            said.reverse()
+        for party, _, outcome, _ in said:
+            emit(party, "outcome", rec.round_id, int(outcome))
+        if refined:  # whoever spoke first declares their basis last
+            for party, _, _, basis in reversed(said):
+                emit(party, "basis", rec.round_id, basis.value)
+
+    for rec in rounds:
+        if rec.kind is RoundKind.MESSAGE or (refined and rec.kind is RoundKind.TEST):
+            continue
+        if rec.kind is RoundKind.KEY and rec.declared_bob and rec.bob_basis is None:
+            # Only an attacked, deferred round can reach this point
+            # unmeasured: Bob never measured B and announces a random basis
+            # plus (later, privately) a fabricated key bit.
+            rec.bob_basis = adversary.fake_key_basis(rec._rng, bases)
+            rec.bob_outcome = +1 if rec._rng.random() < 0.5 else -1
+        for party, declared, _, basis in _declarations(rec):
+            if declared and basis is not None:
+                emit(party, "basis", rec.round_id, basis.value)
+
     for rec in rounds:
         if rec.kind is RoundKind.MESSAGE:
             continue
         both = bool(rec.declared_bob and rec.declared_charlie)
-        anyone = bool(rec.declared_bob or rec.declared_charlie)
         if both and _entangled(rec.preparation):
-            ann.emit("alice", "class", rec.round_id, rec.preparation.basis_class)
-        if rec.kind is RoundKind.TEST and anyone:
+            emit("alice", "class", rec.round_id, rec.preparation.basis_class)
+        if rec.kind is RoundKind.TEST and (rec.declared_bob or rec.declared_charlie):
             kind, payload = _dealer_reveal_payload(rec.preparation)
-            ann.emit("alice", kind, rec.round_id, payload)
-
-
-def _recovery_phase(
-    rounds: list[RoundRecord], adversary: ActiveAdversary | None
-) -> None:
-    """After the dealer's class reveals, the adversary reads off key bits."""
-    if adversary is None:
-        return
-    for rec in rounds:
-        if rec.kind is not RoundKind.KEY or not rec.attack_mounted:
+            emit("alice", kind, rec.round_id, payload)
+        if adversary is None or rec.kind is not RoundKind.KEY or not rec.attack_mounted:
             continue
-        registry = rec.registry  # what Bob still holds: B and C parked, B' kept
-        both = rec.declared_bob and rec.declared_charlie
+        # With the round's class public, the adversary reads off key bits
+        # from what it still holds: B and C parked, B' kept.
+        registry = rec.registry
         if both and registry.has("B") and registry.has("C"):
             rec.recovered_dealer_bit = adversary.recover_dealer_bit(
                 rec, rec.preparation.basis_class, rec._rng
@@ -506,100 +507,7 @@ def _recovery_phase(
             rec.recovered_charlie_outcome = adversary.recover_charlie_outcome(
                 rec, rec.charlie_basis, rec._rng
             )
-
-
-def _announce_designation_first(
-    config: SessionConfig, rounds: list[RoundRecord], adversary, ann: _Announcer
-) -> None:
-    test_ids = tuple(r.round_id for r in rounds if r.kind is RoundKind.TEST)
-    ann.emit("alice", "designation", None, test_ids)
-    for rec in rounds:
-        if rec.kind is RoundKind.TEST:
-            _resolve_test_declaration(rec, config, adversary, loss_branch_available=True)
-        else:
-            _resolve_key_declaration(rec, adversary)
-        rec.declared_charlie = rec.delivered_charlie
-    _emit_detections(ann, rounds)
-    refined = config.ordering is OrderingPolicy.REFINED
-    if refined:
-        _emit_refined_test_blocks(ann, rounds)  # test bases go out here
-    else:
-        _emit_test_outcomes_plain(ann, rounds)
-    for rec in rounds:
-        if rec.kind is RoundKind.KEY:
-            _finish_key_round_bob(rec, config, adversary)
-    _emit_bases(ann, rounds, include_test=not refined)
-    _emit_dealer_phase(ann, rounds)
-    _recovery_phase(rounds, adversary)
-
-
-def _announce_sifting_first(
-    config: SessionConfig, rounds: list[RoundRecord], adversary, ann: _Announcer
-) -> None:
-    for rec in rounds:
-        if adversary is None:
-            rec.declared_bob = rec.delivered_bob
-        else:
-            rec.declared_bob = adversary.sifting_declaration(rec, rec._rng)
-        rec.declared_charlie = rec.delivered_charlie
-    _emit_detections(ann, rounds)
-    for rec in rounds:
-        both = rec.declared_bob and rec.declared_charlie
-        if config.scheme is Scheme.HARDENED_KKI:
-            # Hardened test rounds are fixed at preparation time; an
-            # undetected one simply yields no check data.
-            continue
-        if rec.test_coin and not both:
-            rec.kind = RoundKind.KEY  # designation happens among detected rounds
-    test_ids = tuple(r.round_id for r in rounds if r.kind is RoundKind.TEST)
-    ann.emit("alice", "designation", None, test_ids)
-    for rec in rounds:
-        if rec.kind is not RoundKind.TEST:
-            continue
-        if adversary is not None and rec.attacked and rec.declared_bob:
-            # The detection is already public; a wrong Bell outcome can no
-            # longer be converted into a loss.
-            adversary.respond_test(
-                rec, rec._rng, loss_branch_available=False,
-                agent_bases=config.scheme.agent_bases,
-            )
-    _emit_test_outcomes_plain(ann, rounds)
-    for rec in rounds:
-        if rec.kind is RoundKind.KEY:
-            _finish_key_round_bob(rec, config, adversary)
-    _emit_bases(ann, rounds, include_test=True)
-    _emit_dealer_phase(ann, rounds)
-    _recovery_phase(rounds, adversary)
-
-
-def _announce_state_sharing(
-    config: SessionConfig, rounds: list[RoundRecord], adversary, ann: _Announcer
-) -> None:
-    # Message photons are unmeasured, so no detection record can precede
-    # designation regardless of the configured ordering; every policy
-    # degenerates to the designation-first schedule.
-    test_ids = tuple(r.round_id for r in rounds if r.kind is RoundKind.TEST)
-    ann.emit("alice", "designation", None, test_ids)
-    bases = config.scheme.agent_bases
-    for rec in rounds:
-        if rec.kind is not RoundKind.TEST:
-            continue
-        # Simulation order within the round: Charlie's measurement first so
-        # factor merges stay small; the operations act on disjoint photons,
-        # so announcement order is unaffected.
-        rng = rec._rng
-        if rec.delivered_charlie:
-            rec.charlie_basis = _agent_basis(bases, rng)
-            rec.charlie_outcome = rec.registry.measure(
-                rec.charlie_label, rec.charlie_basis, rng
-            ).outcome
-        rec.declared_charlie = rec.delivered_charlie
-        _resolve_test_declaration(rec, config, adversary, loss_branch_available=True)
-    test_rounds = [r for r in rounds if r.kind is RoundKind.TEST]
-    _emit_detections(ann, test_rounds)
-    _emit_test_outcomes_plain(ann, test_rounds)
-    _emit_bases(ann, test_rounds, include_test=True)
-    _emit_dealer_phase(ann, test_rounds)
+    return log
 
 
 def run_session(
@@ -618,18 +526,11 @@ def run_session(
         _physical_round(i, config, adversary, generators[i])
         for i in range(config.rounds)
     ]
-    ann = _Announcer()
-    if config.mode is Mode.STATE_SHARING:
-        _announce_state_sharing(config, rounds, adversary, ann)
-    elif config.ordering is OrderingPolicy.SIFTING_FIRST:
-        _announce_sifting_first(config, rounds, adversary, ann)
-    else:
-        _announce_designation_first(config, rounds, adversary, ann)
     return SessionTranscript(
         config=config,
         strategy=strategy,
         rounds=rounds,
-        announcements=ann.log,
+        announcements=_announce(config, rounds, adversary),
         attack_fraction=adversary.fraction if adversary is not None else None,
     )
 
@@ -806,7 +707,7 @@ def evaluate_tally(tally: SessionTally, config: SessionConfig) -> CheckReport:
     if hardened:
         legs_checked = tally.bob_leg_checked + tally.charlie_leg_checked
         if legs_checked == 0:
-            raise ValueError("no usable test announcements; cannot run the check")
+            raise NoTestDataError("no usable test announcements; cannot run the check")
         bob_rate = ratio(tally.bob_leg_errors, tally.bob_leg_checked)
         charlie_rate = ratio(tally.charlie_leg_errors, tally.charlie_leg_checked)
         if charlie_rate >= bob_rate:
@@ -824,7 +725,7 @@ def evaluate_tally(tally: SessionTally, config: SessionConfig) -> CheckReport:
         leg_rates = (bob_rate, charlie_rate)
     else:
         if tally.test_checked == 0:
-            raise ValueError("no usable test rounds; cannot run the check")
+            raise NoTestDataError("no usable test rounds; cannot run the check")
         test_checked = tally.test_checked
         test_errors = tally.test_errors
         error_rate = ratio(test_errors, test_checked)
@@ -859,7 +760,8 @@ def check_eavesdropping(
 ) -> CheckReport:
     """Run the public error/efficiency check on a finished session.
 
-    Raises ``ValueError`` when the transcript contains no usable test data.
+    Raises ``NoTestDataError`` (a ``ValueError``) when the transcript
+    contains no usable test data.
     """
     return evaluate_tally(tally_transcript(transcript), config or transcript.config)
 
@@ -901,18 +803,9 @@ def distill_keys(
 # ---------------------------------------------------------------------------
 # Announcement-order validation and export
 
-_PHASE_RANKS_DESIGNATION_FIRST = {
+_PHASE_RANKS = {
     "designation": 0,
     "detection": 1,
-    "outcome": 2,
-    "basis": 3,
-    "class": 4,
-    "state": 4,
-    "prep": 4,
-}
-_PHASE_RANKS_SIFTING = {
-    "detection": 0,
-    "designation": 1,
     "outcome": 2,
     "basis": 3,
     "class": 4,
@@ -942,7 +835,9 @@ def validate_announcement_order(transcript: SessionTranscript) -> None:
         config.mode is Mode.CLASSICAL_KEY
         and config.ordering is OrderingPolicy.REFINED
     )
-    ranks = _PHASE_RANKS_SIFTING if sifting else _PHASE_RANKS_DESIGNATION_FIRST
+    ranks = _PHASE_RANKS
+    if sifting:  # detections are declared before the designation
+        ranks = {**_PHASE_RANKS, "detection": 0, "designation": 1}
     declared: dict[tuple[str, int], bool] = {}
     test_ids: set[int] = set()
     last_rank = -1

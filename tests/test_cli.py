@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from triqss.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_OK, main
+from triqss.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_NO_TEST_DATA, EXIT_OK, main
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +50,14 @@ class TestRunCommand:
         )
         assert code == EXIT_CONFIG
         assert "error:" in err
+
+    def test_too_few_rounds_is_no_test_data(self, capsys):
+        code, _, err = run_cli(capsys, "run", "--rounds", "3")
+        assert code == EXIT_NO_TEST_DATA
+        assert "no usable test rounds" in err
+        code, _, err = run_cli(capsys, "run", "--rounds", "0")
+        assert code == EXIT_CONFIG
+        assert "rounds" in err
 
     def test_invalid_choice_is_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
