@@ -36,6 +36,9 @@ def main() -> None:
     print(f"{'eta_prime':<11}{'formula':<10}{'measured':<10}{'|diff|':<9}"
           f"{'eff_bob':<9}{'eff_charlie':<12}verdict")
     for row in rows:
+        if row["note"]:
+            print(f"{row['eta_prime']:<11}{row['note']}")
+            continue
         diff = abs(row["measured_fraction"] - row["formula_fraction"])
         print(f"{row['eta_prime']:<11}{row['formula_fraction']:<10.4f}"
               f"{row['measured_fraction']:<10.4f}{diff:<9.4f}"

@@ -305,10 +305,9 @@ class ActiveAdversary:
         Once the basis class is public the two candidate states are two
         members of one orthonormal four-state basis (the plain Bell basis
         for class 1, its rotated twin for class 2), so one joint measurement
-        distinguishes them with certainty.
+        distinguishes them with certainty.  Raises ``KeyError`` when the
+        pair is no longer held.
         """
-        if not (rec.registry.has("B") and rec.registry.has("C")):
-            raise ValueError(f"round {rec.round_id}: no parked pair to measure")
         vectors = bell_basis_vectors() if basis_class == 1 else rotated_bell_basis_vectors()
         result = rec.registry.measure_pair(("B", "C"), vectors, rng)
         outcome = BELL_ORDER[result.index]
@@ -325,8 +324,7 @@ class ActiveAdversary:
 
         The substituted pair is correlated identically in both agent bases,
         so measuring the kept half in the announced basis yields the other
-        agent's outcome with certainty.
+        agent's outcome with certainty.  Raises ``KeyError`` when the fake
+        half is no longer held.
         """
-        if not rec.registry.has(FAKE_BOB):
-            raise ValueError(f"round {rec.round_id}: fake half no longer available")
         return rec.registry.measure(FAKE_BOB, charlie_basis, rng).outcome

@@ -11,7 +11,8 @@ Subcommands
 
 Exit codes: 0 on success, 1 when a verification or an ``--expect`` assertion
 fails, 2 on configuration errors, 3 when a run leaves no usable test data to
-check (for example too few rounds for any test round to survive).
+check (for example too few rounds for any test round to survive).  ``sweep``
+reports such a point as a row, finishes the other points, then exits 3.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import sys
 
 from .harness import (
+    NO_TEST_DATA_NOTE,
     PRESET_NAMES,
     preset_experiment,
     run_experiment,
@@ -252,6 +254,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         writer = write_sweep_csv if fmt == "csv" else write_sweep_json
         writer(rows, out)
         print(f"sweep written to {out}")
+    missing = [row["eta_prime"] for row in rows if row["note"] == NO_TEST_DATA_NOTE]
+    if missing:
+        points = ", ".join(f"{eta_prime:.3f}" for eta_prime in missing)
+        print(f"error: no usable test data at eta_prime {points}", file=sys.stderr)
+        return EXIT_NO_TEST_DATA
     return EXIT_OK
 
 

@@ -32,6 +32,7 @@ from .conventions import (
 from .protocol import (
     CheckReport,
     Mode,
+    NoTestDataError,
     OrderingPolicy,
     Scheme,
     SessionConfig,
@@ -54,6 +55,7 @@ __all__ = [
     "preset_experiment",
     "run_experiment",
     "sweep_pe",
+    "NO_TEST_DATA_NOTE",
     "Table1Cell",
     "CollapseCell",
     "Table1Report",
@@ -307,6 +309,16 @@ def write_sweep_json(rows: list[dict], path: str) -> None:
 # ---------------------------------------------------------------------------
 # Replacement-rate sweep
 
+NO_TEST_DATA_NOTE = "no usable test data"
+
+
+def _note_row(eta: float, eta_prime: float, note: str) -> dict:
+    """A sweep row that carries only its point and why it has no results."""
+    row = dict.fromkeys(SWEEP_COLUMNS)
+    row.update(eta=_round6(eta), eta_prime=_round6(eta_prime), note=note)
+    return row
+
+
 def sweep_pe(
     eta: float = 0.25,
     eta_prime_values: tuple[float, ...] = (0.25, 0.3, 0.35, 0.4, 0.45, 0.5),
@@ -326,25 +338,17 @@ def sweep_pe(
     mounted test-round interceptions is compared with its prediction of 1/2,
     the chance that the swap lands on an unrepairable Bell outcome.
     Replacement efficiencies below ``eta`` cannot hide any interception, so
-    those points are skipped with a note.
+    those points are skipped with a note.  A point whose session leaves no
+    usable test data gets the note ``NO_TEST_DATA_NOTE`` and the sweep goes
+    on with the next point.
     """
     out: list[dict] = []
     for i, eta_prime in enumerate(eta_prime_values):
         if eta_prime < eta:
             out.append(
-                {
-                    "eta": _round6(eta),
-                    "eta_prime": _round6(eta_prime),
-                    "formula_fraction": None,
-                    "measured_fraction": None,
-                    "eff_bob": None,
-                    "eff_charlie": None,
-                    "predicted_loss_rate": None,
-                    "observed_loss_rate": None,
-                    "error_rate": None,
-                    "verdict": None,
-                    "note": "skipped: replacement channel worse than honest one",
-                }
+                _note_row(
+                    eta, eta_prime, "skipped: replacement channel worse than honest one"
+                )
             )
             continue
         config = preset_experiment(
@@ -355,7 +359,11 @@ def sweep_pe(
             seed=seed + 1000 * i,
             repetitions=repetitions,
         )
-        report = run_experiment(config)
+        try:
+            report = run_experiment(config)
+        except NoTestDataError:
+            out.append(_note_row(eta, eta_prime, NO_TEST_DATA_NOTE))
+            continue
         mounted = report.tally.attacked_test_mounted
         lost = report.tally.attacked_test_loss_declared
         out.append(
@@ -734,10 +742,15 @@ def selftest(rounds: int = 3000, seed: int = 0) -> tuple[bool, list[str]]:
         generate_convention_table() == load_convention_table(),
         "bit conventions: bundled table matches regeneration",
     )
-    honest = run_experiment(
-        preset_experiment("honest", eta=0.3, rounds=rounds, seed=seed),
-        keep_transcripts=True,
-    )
+
+    def session(preset: str, **params) -> SessionReport:
+        config = preset_experiment(preset, eta=0.3, rounds=rounds, seed=seed, **params)
+        try:
+            return run_experiment(config, keep_transcripts=True)
+        except NoTestDataError as exc:
+            raise NoTestDataError(f"selftest session {preset!r}: {exc}") from exc
+
+    honest = session("honest")
     validate_announcement_order(honest.transcripts[0])
     note(
         honest.check.verdict == "secure"
@@ -745,12 +758,7 @@ def selftest(rounds: int = 3000, seed: int = 0) -> tuple[bool, list[str]]:
         and honest.key_mismatches == 0,
         f"honest session: secure, zero errors, {honest.key_bits} key bits",
     )
-    attacked = run_experiment(
-        preset_experiment(
-            "opaque-vulnerable", eta=0.3, eta_prime=0.6, rounds=rounds, seed=seed
-        ),
-        keep_transcripts=True,
-    )
+    attacked = session("opaque-vulnerable", eta_prime=0.6)
     validate_announcement_order(attacked.transcripts[0])
     note(
         attacked.check.verdict == "secure"
@@ -758,15 +766,7 @@ def selftest(rounds: int = 3000, seed: int = 0) -> tuple[bool, list[str]]:
         and attacked.kc_accuracy == 1.0,
         "deferred attack, vulnerable ordering: undetected with perfect recovery",
     )
-    sifting = run_experiment(
-        preset_experiment(
-            "opaque-sifting-classical",
-            eta=0.3,
-            eta_prime=0.6,
-            rounds=rounds,
-            seed=seed,
-        )
-    )
+    sifting = session("opaque-sifting-classical", eta_prime=0.6)
     note(
         sifting.check.verdict == "compromised",
         f"deferred attack, sifting-first: detected "

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -274,12 +275,84 @@ def validate_session(config: SessionConfig, strategy: AttackStrategy | None) -> 
 def _round_generators(seed: int, n: int) -> list[np.random.Generator]:
     # Counter-style derivation: each round's generator depends only on
     # (seed, round index), never on how many draws other rounds made.
+    # Round i runs PCG64(words[2i] | words[2i+1] << 64); the seeding hash
+    # PCG64 would apply to that key runs here for all rounds at once.
     words = np.random.SeedSequence(seed).generate_state(2 * n, dtype=np.uint64)
-    out = []
-    for i in range(n):
-        key = int(words[2 * i]) | (int(words[2 * i + 1]) << 64)
-        out.append(np.random.Generator(np.random.PCG64(key)))
-    return out
+    states = _pcg64_seed_states(words.astype("<u8").view("<u4").reshape(n, 4))
+    seed_type = _precomputed_seed_type()
+    return [np.random.Generator(np.random.PCG64(seed_type(row))) for row in states]
+
+
+# numpy's SeedSequence hash (NEP 19): the constants of its entropy mix and of
+# its output stage.
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(
+    init: int, mult: int, steps: int
+) -> list[tuple[np.uint32, np.uint32]]:
+    """The (xor, multiply) constants of ``steps`` successive hash steps."""
+    chain = [init]
+    for _ in range(steps):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    return [(np.uint32(a), np.uint32(b)) for a, b in zip(chain, chain[1:])]
+
+
+def _pcg64_seed_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(key).generate_state(4, np.uint64)`` for each row's key.
+
+    ``entropy`` is ``(n, 4)`` uint32: each row a 128-bit key as little-endian
+    32-bit words, which is how SeedSequence splits an integer (its trailing
+    zero words hash the same as its 4-word pool padding).  The hash constants
+    never depend on the data, so every step of the 4-word pool's mix runs on
+    whole columns.  Returns ``(n, 4)`` uint64.
+    """
+    shift = np.uint32(16)
+    steps = iter(_hash_constants(_HASH_INIT_A, _HASH_MULT_A, 16))
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        xor, mult = next(steps)
+        value = (value ^ xor) * mult
+        return value ^ (value >> shift)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return out ^ (out >> shift)
+
+    out = np.empty((entropy.shape[0], 8), dtype="<u4")
+    output_steps = _hash_constants(_HASH_INIT_B, _HASH_MULT_B, 8)
+    with np.errstate(over="ignore"):
+        pool = [hashmix(entropy[:, i]) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for k, (xor, mult) in enumerate(output_steps):
+            value = (pool[k % 4] ^ xor) * mult
+            out[:, k] = value ^ (value >> shift)
+    return out.view("<u8").astype(np.uint64)
+
+
+@lru_cache(maxsize=None)
+def _precomputed_seed_type() -> type:
+    # Defined on first use: importing numpy.random with triqss would add
+    # to every interpreter's start-up.
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PrecomputedSeed(ISeedSequence):
+        """Hands PCG64 a seed state derived by ``_pcg64_seed_states``."""
+
+        def __init__(self, state: np.ndarray) -> None:
+            self._state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("only PCG64's (4, uint64) request is precomputed")
+            return self._state
+
+    return PrecomputedSeed
 
 
 def _agent_basis(bases: tuple[Basis, ...], rng: np.random.Generator) -> Basis:

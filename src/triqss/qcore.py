@@ -1,9 +1,18 @@
 """Exact statevector mathematics for one to three labeled qubits.
 
 Everything in this module is small, dense linear algebra over explicit
-amplitude vectors.  States are immutable; measurement and projection return
-fresh values instead of mutating.  All stochastic operations take an explicit
-``numpy.random.Generator`` so a fixed seed reproduces the same trajectory.
+amplitude vectors.  States are immutable; nothing here mutates its input.
+All stochastic operations take an explicit ``numpy.random.Generator`` so a
+fixed seed reproduces the same trajectory.
+
+A session revisits the same few states thousands of times, so the sampled
+kernels (``measure_qubit``, ``measure_two_qubit_basis`` and
+``apply_correction``) are memoized on the state's labels and amplitude bytes.
+Every outcome's Born probability and post-state is computed from the
+amplitudes once per distinct input; results are then shared between calls
+and are immutable (frozen dataclasses over read-only arrays).  Sampling still
+draws the same uniforms in the same order, so a seed's trajectory does not
+depend on what the memo already holds.
 
 Conventions
 -----------
@@ -357,7 +366,23 @@ def apply_correction(
     if correction is PauliCorrection.IDENTITY:
         state.axis(label)  # still validate the label
         return state
-    return apply_unitary(state, label, correction.matrix)
+    return _corrected(state.labels, state.amplitudes.tobytes(), label, correction)
+
+
+# Bound on each kernel memo.  All nine presets together put at most 122
+# entries in any one memo; the bound only caps what custom states can add.
+_MEMO_SIZE = 1024
+
+
+def _state_from_bytes(labels: tuple[str, ...], amplitudes: bytes) -> StateVector:
+    return StateVector._trusted(labels, np.frombuffer(amplitudes, dtype=complex))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _corrected(
+    labels: tuple[str, ...], amplitudes: bytes, label: str, correction: PauliCorrection
+) -> StateVector:
+    return apply_unitary(_state_from_bytes(labels, amplitudes), label, correction.matrix)
 
 
 def _clamp_probability(p: float) -> float:
@@ -445,26 +470,45 @@ def measure_qubit(
 
     The measured qubit is removed from the returned post-state.
     """
-    plus, minus = basis.eigenvectors
-    r_plus = _qubit_residual(state, label, plus)
-    p_plus = _clamp_probability(float(np.vdot(r_plus, r_plus).real))
-    if rng.random() < p_plus:
-        outcome, prob, residual = +1, p_plus, r_plus
-    else:
-        r_minus = _qubit_residual(state, label, minus)
-        p_minus = _clamp_probability(float(np.vdot(r_minus, r_minus).real))
-        if not abs(p_plus + p_minus - 1.0) <= 1e-6:
-            raise AssertionError(
-                f"probabilities sum to {p_plus + p_minus}, state not normalized"
-            )
-        outcome, prob, residual = -1, p_minus, r_minus
+    plus, minus = _qubit_branches(state.labels, state.amplitudes.tobytes(), label, basis)
+    if rng.random() < plus.probability:
+        return plus
+    if not abs(plus.probability + minus.probability - 1.0) <= 1e-6:
+        raise AssertionError(
+            f"probabilities sum to {plus.probability + minus.probability}, "
+            f"state not normalized"
+        )
+    return minus
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _qubit_branches(
+    labels: tuple[str, ...], amplitudes: bytes, label: str, basis: Basis
+) -> tuple[Measurement, Measurement]:
+    return _qubit_kernel(_state_from_bytes(labels, amplitudes), label, basis)
+
+
+def _qubit_kernel(
+    state: StateVector, label: str, basis: Basis
+) -> tuple[Measurement, Measurement]:
+    """The +1 and -1 branches of a single-qubit measurement."""
     rest = tuple(l for l in state.labels if l != label)
-    post = (
-        StateVector._trusted(rest, (residual / np.sqrt(prob)).reshape(-1))
-        if rest and prob > 0.0
-        else None
-    )
-    return Measurement(outcome, prob, post)
+    branches = []
+    for outcome, ket in zip((+1, -1), basis.eigenvectors):
+        residual = _qubit_residual(state, label, ket)
+        prob = _clamp_probability(float(np.vdot(residual, residual).real))
+        post = (
+            StateVector._trusted(rest, (residual / np.sqrt(prob)).reshape(-1))
+            if rest and prob > 0.0
+            else None
+        )
+        branches.append(Measurement(outcome, prob, post))
+    return tuple(branches)
+
+
+# The four outcomes of a joint measurement and the running sums of their
+# probabilities, in row order.
+_PairBranches = tuple[tuple[PairMeasurement, ...], tuple[float, ...]]
 
 
 def measure_two_qubit_basis(
@@ -479,31 +523,83 @@ def measure_two_qubit_basis(
     vectors, ordered with ``pair[0]`` as the most significant bit.  Raises
     ``ValueError`` if the rows are not orthonormal within ``ATOL``.
     """
-    vecs = _checked_pair_basis(basis_vectors)
-    u = rng.random()
+    basis_id = _canonical_pair_basis_id(basis_vectors)
+    if basis_id is None:
+        branches = _pair_kernel(state, pair, _checked_pair_basis(basis_vectors))
+    else:
+        branches = _pair_branches(
+            state.labels, state.amplitudes.tobytes(), pair, basis_id
+        )
+    return _draw_pair_branch(branches, rng)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _pair_branches(
+    labels: tuple[str, ...], amplitudes: bytes, pair: tuple[str, str], basis_id: int
+) -> _PairBranches:
+    return _pair_kernel(
+        _state_from_bytes(labels, amplitudes), pair, _CANONICAL_PAIR_BASES[basis_id]
+    )
+
+
+def _pair_kernel(
+    state: StateVector, pair: tuple[str, str], vecs: np.ndarray
+) -> _PairBranches:
+    """All four branches of a joint two-qubit measurement on one state."""
+    rest = tuple(l for l in state.labels if l not in pair)
+    return _branches_from_residuals(
+        (_pair_residual(state, pair, vecs[k]) for k in range(4)), rest
+    )
+
+
+def _branches_from_residuals(residuals, rest: tuple[str, ...]) -> _PairBranches:
+    """Branches from the four unnormalized remainders, in row order.
+
+    The post-state over ``rest`` is the normalized remainder, ``None`` when
+    nothing is left or the branch cannot occur.
+    """
+    results = []
+    cumulative = []
     acc = 0.0
-    for k in range(4):
-        residual = _pair_residual(state, pair, vecs[k])
+    for k, residual in enumerate(residuals):
         prob = _clamp_probability(float(np.vdot(residual, residual).real))
         acc += prob
-        if u < acc or k == 3:
-            index = k
+        post = (
+            StateVector._trusted(rest, (residual / np.sqrt(prob)).reshape(-1))
+            if rest and prob > 0.0
+            else None
+        )
+        results.append(PairMeasurement(k, prob, post))
+        cumulative.append(acc)
+    return tuple(results), tuple(cumulative)
+
+
+def _draw_pair_branch(
+    branches: _PairBranches, rng: np.random.Generator
+) -> PairMeasurement:
+    """Sample one branch: a single uniform walked through the running sums."""
+    results, cumulative = branches
+    u = rng.random()
+    for k in range(4):
+        if u < cumulative[k] or k == 3:
             break
-    if u >= acc and not abs(acc - 1.0) <= 1e-6:
-        raise AssertionError(f"probabilities sum to {acc}, state not normalized")
-    rest = tuple(l for l in state.labels if l not in pair)
-    post = (
-        StateVector._trusted(rest, (residual / np.sqrt(prob)).reshape(-1))
-        if rest and prob > 0.0
-        else None
-    )
-    return PairMeasurement(index, prob, post)
+    if u >= cumulative[k] and not abs(cumulative[k] - 1.0) <= 1e-6:
+        raise AssertionError(
+            f"probabilities sum to {cumulative[k]}, state not normalized"
+        )
+    return results[k]
+
+
+def _canonical_pair_basis_id(basis_vectors: np.ndarray) -> int | None:
+    """Position of a canonical basis array (matched by identity), else None."""
+    for i, vecs in enumerate(_CANONICAL_PAIR_BASES):
+        if basis_vectors is vecs:
+            return i
+    return None
 
 
 def _checked_pair_basis(basis_vectors: np.ndarray) -> np.ndarray:
-    """Validate a (4, 4) orthonormal basis array (canonical arrays skip it)."""
-    if basis_vectors is _BELL_BASIS or basis_vectors is _ROTATED_BELL_BASIS:
-        return basis_vectors
+    """Validate a (4, 4) orthonormal basis array."""
     vecs = np.asarray(basis_vectors, dtype=complex)
     if vecs.shape != (4, 4):
         raise ValueError(f"expected a (4, 4) basis array, got {vecs.shape}")
@@ -522,6 +618,7 @@ _ROTATED_BELL_BASIS = np.stack(
     ]
 )
 _ROTATED_BELL_BASIS.setflags(write=False)
+_CANONICAL_PAIR_BASES = (_BELL_BASIS, _ROTATED_BELL_BASIS)
 
 
 def bell_basis_vectors() -> np.ndarray:

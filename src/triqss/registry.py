@@ -14,16 +14,24 @@ equivalent to tracing the photon out, and it keeps all factors pure.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .qcore import (
+    _CANONICAL_PAIR_BASES,
+    _MEMO_SIZE,
     Basis,
     Measurement,
     PairMeasurement,
     PauliCorrection,
     StateVector,
-    ZERO_PROB,
+    _PairBranches,
+    _branches_from_residuals,
+    _canonical_pair_basis_id,
     _checked_pair_basis,
+    _draw_pair_branch,
+    _state_from_bytes,
     apply_correction,
     measure_qubit,
     measure_two_qubit_basis,
@@ -52,7 +60,10 @@ class PhotonRegistry:
         return out
 
     def has(self, label: str) -> bool:
-        return any(label in f.labels for f in self._factors)
+        for f in self._factors:
+            if label in f.labels:
+                return True
+        return False
 
     def factor_of(self, label: str) -> StateVector:
         for f in self._factors:
@@ -109,11 +120,11 @@ class PhotonRegistry:
             else:
                 self._factors[i1] = result.post_state
             return result
-        result, post = self._measure_pair_across(i1, i2, pair, basis_vectors, rng)
+        result = self._measure_pair_across(i1, i2, pair, basis_vectors, rng)
         for idx in sorted((i1, i2), reverse=True):
             del self._factors[idx]
-        if post is not None:
-            self._factors.append(post)
+        if result.post_state is not None:
+            self._factors.append(result.post_state)
         return result
 
     def discard(self, label: str, rng: np.random.Generator) -> None:
@@ -133,34 +144,57 @@ class PhotonRegistry:
         pair: tuple[str, str],
         basis_vectors: np.ndarray,
         rng: np.random.Generator,
-    ) -> tuple[PairMeasurement, StateVector | None]:
-        vecs = _checked_pair_basis(basis_vectors)
+    ) -> PairMeasurement:
         f1 = self._factors[i1]
         f2 = self._factors[i2]
-        # Slicing the moved axis picks the pair[0] (resp. pair[1]) bit; the
-        # remaining axes of factor 1 precede those of factor 2.
-        t1 = np.moveaxis(f1.tensor_view(), f1.axis(pair[0]), 0)
-        t2 = np.moveaxis(f2.tensor_view(), f2.axis(pair[1]), 0)
-        rest = tuple(l for l in f1.labels if l != pair[0]) + tuple(
-            l for l in f2.labels if l != pair[1]
-        )
-        u = rng.random()
-        acc = 0.0
-        for k in range(4):
-            v = vecs[k].conj()
-            residual = np.multiply.outer(t1[0], v[0] * t2[0] + v[1] * t2[1])
-            residual += np.multiply.outer(t1[1], v[2] * t2[0] + v[3] * t2[1])
-            prob = float(np.vdot(residual, residual).real)
-            if prob < ZERO_PROB:
-                prob = 0.0
-            acc += prob
-            if u < acc or k == 3:
-                index = k
-                break
-        if u >= acc and not abs(acc - 1.0) <= 1e-6:
-            raise AssertionError(f"probabilities sum to {acc}")
-        if not rest or prob == 0.0:
-            return PairMeasurement(index, prob, None), None
-        amps = (residual / np.sqrt(prob)).reshape(-1)
-        post = StateVector._trusted(rest, amps)
-        return PairMeasurement(index, prob, post), post
+        basis_id = _canonical_pair_basis_id(basis_vectors)
+        if basis_id is None:
+            branches = _across_kernel(f1, f2, pair, _checked_pair_basis(basis_vectors))
+        else:
+            branches = _across_branches(
+                f1.labels, f1.amplitudes.tobytes(),
+                f2.labels, f2.amplitudes.tobytes(),
+                pair, basis_id,
+            )
+        return _draw_pair_branch(branches, rng)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _across_branches(
+    labels1: tuple[str, ...],
+    amplitudes1: bytes,
+    labels2: tuple[str, ...],
+    amplitudes2: bytes,
+    pair: tuple[str, str],
+    basis_id: int,
+) -> _PairBranches:
+    return _across_kernel(
+        _state_from_bytes(labels1, amplitudes1),
+        _state_from_bytes(labels2, amplitudes2),
+        pair,
+        _CANONICAL_PAIR_BASES[basis_id],
+    )
+
+
+def _across_kernel(
+    f1: StateVector, f2: StateVector, pair: tuple[str, str], vecs: np.ndarray
+) -> _PairBranches:
+    """Branches of a joint measurement across two factors.
+
+    ``pair[0]`` lives in ``f1`` and ``pair[1]`` in ``f2``; the factors are
+    contracted against each candidate vector without forming their product.
+    """
+    # Slicing the moved axis picks the pair[0] (resp. pair[1]) bit; the
+    # remaining axes of factor 1 precede those of factor 2.
+    t1 = np.moveaxis(f1.tensor_view(), f1.axis(pair[0]), 0)
+    t2 = np.moveaxis(f2.tensor_view(), f2.axis(pair[1]), 0)
+    rest = tuple(l for l in f1.labels if l != pair[0]) + tuple(
+        l for l in f2.labels if l != pair[1]
+    )
+
+    def residual(v: np.ndarray) -> np.ndarray:
+        out = np.multiply.outer(t1[0], v[0] * t2[0] + v[1] * t2[1])
+        out += np.multiply.outer(t1[1], v[2] * t2[0] + v[3] * t2[1])
+        return out
+
+    return _branches_from_residuals((residual(vecs[k].conj()) for k in range(4)), rest)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from triqss.adversary import (
+    FAKE_BOB,
     ActiveAdversary,
     AttackKind,
     AttackStrategy,
@@ -244,6 +245,26 @@ class TestKeyRecovery:
             assert rec.recovered_charlie_outcome == rec.charlie_outcome
             recovered += 1
         assert recovered > 500
+
+    def test_recovery_without_its_photon_raises(self):
+        # After the session's own recovery the parked pair and the kept fake
+        # half are measured and gone; the registry lookup names the photon.
+        transcript = attacked_session(rounds=200)
+        adversary = ActiveAdversary(
+            AttackStrategy(), ChannelConfig(eta=1.0, eta_prime=1.0)
+        )
+        rec = next(
+            r for r in transcript.rounds
+            if r.recovered_dealer_bit is not None
+            and r.recovered_charlie_outcome is not None
+        )
+        rng = np.random.default_rng(0)
+        with pytest.raises(KeyError) as exc:
+            adversary.recover_dealer_bit(rec, rec.preparation.basis_class, rng)
+        assert exc.value.args[0] == "no photon labeled 'B'"
+        with pytest.raises(KeyError) as exc:
+            adversary.recover_charlie_outcome(rec, rec.charlie_basis, rng)
+        assert exc.value.args[0] == f"no photon labeled {FAKE_BOB!r}"
 
     def test_early_bell_recovers_nothing(self):
         transcript = attacked_session(kind=AttackKind.EARLY_BELL, rounds=1000)

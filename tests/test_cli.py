@@ -157,6 +157,27 @@ class TestSweepCommand:
         assert code == EXIT_OK
         assert "0.300" in out
 
+    def test_point_without_test_data_is_reported_and_sweep_goes_on(
+        self, tmp_path, capsys
+    ):
+        # At 10 rounds, seed 0, only the second point keeps a test round.
+        out_path = tmp_path / "sweep.json"
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--eta", "0.25", "--eta-prime-list", "0.25,0.3,0.35",
+            "--rounds", "10", "--out", str(out_path), "--format", "json",
+        )
+        assert code == EXIT_NO_TEST_DATA
+        assert "    0.250 no usable test data" in out
+        assert "    0.350 no usable test data" in out
+        assert f"sweep written to {out_path}" in out
+        assert "no usable test data at eta_prime 0.250, 0.350" in err
+        rows = json.loads(out_path.read_text())
+        assert [r["note"] for r in rows] == [
+            "no usable test data", "", "no usable test data"
+        ]
+        assert rows[1]["verdict"] is not None
+
     def test_empty_grid_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--eta-prime-list", ",")
         assert code == EXIT_CONFIG
@@ -184,3 +205,8 @@ class TestSelftestCommand:
         assert code == EXIT_OK
         assert "selftest: pass" in out
         assert out.count("[ok]") >= 4
+
+    def test_no_test_data_names_the_session(self, capsys):
+        code, _, err = run_cli(capsys, "selftest", "--rounds", "5")
+        assert code == EXIT_NO_TEST_DATA
+        assert "selftest session 'honest': no usable test rounds" in err

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import triqss
 
 from triqss.adversary import AttackKind
 from triqss.channel import ChannelConfig
@@ -264,3 +269,16 @@ class TestSelfChecks:
         assert ok
         assert len(lines) >= 4
         assert all(line.startswith("[ok]") for line in lines)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random is loaded on a session's first use, not at import, so it
+    # adds nothing to a fresh interpreter's start-up.
+    src = os.path.dirname(os.path.dirname(triqss.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, triqss.harness; print('numpy.random' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -15,6 +15,8 @@ from triqss.protocol import (
     RoundKind,
     Scheme,
     SessionConfig,
+    _pcg64_seed_states,
+    _round_generators,
     distill_keys,
     export_transcript_jsonl,
     extract_bits,
@@ -295,3 +297,45 @@ class TestTranscriptExport:
             row = json.loads(line)
             seqs = [a["seq"] for a in row["announcements"]]
             assert seqs == sorted(seqs)
+
+
+class TestRoundGenerators:
+    """The bulk seed derivation reproduces numpy's per-round seeding exactly."""
+
+    EDGE_KEYS = (0, 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1, 2**96, 2**127, 2**128 - 1)
+
+    @staticmethod
+    def session_keys(seed, n):
+        words = np.random.SeedSequence(seed).generate_state(2 * n, dtype=np.uint64)
+        return [int(words[2 * i]) | (int(words[2 * i + 1]) << 64) for i in range(n)]
+
+    @staticmethod
+    def seed_states(keys):
+        entropy = np.array(
+            [[(key >> (32 * j)) & 0xFFFFFFFF for j in range(4)] for key in keys],
+            dtype=np.uint32,
+        )
+        return _pcg64_seed_states(entropy)
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**40 + 3, 2**127 + 5])
+    def test_seed_words_match_seed_sequence(self, seed):
+        keys = self.session_keys(seed, 300)
+        for key, row in zip(keys, self.seed_states(keys)):
+            expected = np.random.SeedSequence(key).generate_state(4, np.uint64)
+            assert row.dtype == np.uint64
+            assert np.array_equal(row, expected), key
+
+    def test_edge_keys_match_seed_sequence(self):
+        states = self.seed_states(self.EDGE_KEYS)
+        for key, row in zip(self.EDGE_KEYS, states):
+            expected = np.random.SeedSequence(key).generate_state(4, np.uint64)
+            assert np.array_equal(row, expected), key
+
+    def test_generators_equal_per_round_pcg64(self):
+        seed, n = 11, 200
+        generators = _round_generators(seed, n)
+        for key, rng in zip(self.session_keys(seed, n), generators):
+            reference = np.random.Generator(np.random.PCG64(key))
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert rng.random(3).tolist() == reference.random(3).tolist()
+            assert rng.integers(4, size=3).tolist() == reference.integers(4, size=3).tolist()
