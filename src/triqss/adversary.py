@@ -42,6 +42,7 @@ from .qcore import (
     bell_state,
     rotated_bell_basis_vectors,
 )
+from .registry import pick_basis
 
 
 class AttackKind(Enum):
@@ -252,8 +253,9 @@ class ActiveAdversary:
             rec.branch = "good"
             rec.registry.apply("B", correction)
             rec.declared_bob = True
-            rec.bob_basis = agent_bases[int(rng.integers(len(agent_bases)))]
-            rec.bob_outcome = rec.registry.measure("B", rec.bob_basis, rng).outcome
+            rec.bob_basis, rec.bob_outcome = rec.registry.measure_random_basis(
+                "B", agent_bases, rng
+            )
         elif self.strategy.cheating_enabled and loss_branch_available:
             rec.branch = "bad"
             rec.declared_loss_cheat = True
@@ -261,15 +263,17 @@ class ActiveAdversary:
         else:
             rec.branch = "forced" if not loss_branch_available else "bad"
             rec.declared_bob = True
-            rec.bob_basis = agent_bases[int(rng.integers(len(agent_bases)))]
-            rec.bob_outcome = rec.registry.measure("B", rec.bob_basis, rng).outcome
+            rec.bob_basis, rec.bob_outcome = rec.registry.measure_random_basis(
+                "B", agent_bases, rng
+            )
 
     def _early_test_answer(self, rec, rng, agent_bases) -> None:
         if rec.branch == "good":
             rec.declared_bob = True
             if rec.bob_outcome is None:  # state-sharing rounds are still unmeasured
-                rec.bob_basis = agent_bases[int(rng.integers(len(agent_bases)))]
-                rec.bob_outcome = rec.registry.measure("B", rec.bob_basis, rng).outcome
+                rec.bob_basis, rec.bob_outcome = rec.registry.measure_random_basis(
+                    "B", agent_bases, rng
+                )
         else:
             rec.declared_bob = False
 
@@ -280,8 +284,9 @@ class ActiveAdversary:
         rec.branch = "skipped"
         if loss_filter(self.channel.eta / self.channel.eta_prime, rng):
             rec.declared_bob = True
-            rec.bob_basis = agent_bases[int(rng.integers(len(agent_bases)))]
-            rec.bob_outcome = rec.registry.measure("B", rec.bob_basis, rng).outcome
+            rec.bob_basis, rec.bob_outcome = rec.registry.measure_random_basis(
+                "B", agent_bases, rng
+            )
         else:
             rec.declared_bob = False
 
@@ -295,7 +300,7 @@ class ActiveAdversary:
 
     def fake_key_basis(self, rng: np.random.Generator, agent_bases) -> Basis:
         """Basis announced for an attacked key round (nothing was measured)."""
-        return agent_bases[int(rng.integers(len(agent_bases)))]
+        return pick_basis(agent_bases, rng)
 
     # -- key recovery ------------------------------------------------------
 

@@ -54,11 +54,16 @@ class PreparedState:
 
     @classmethod
     def from_tag(cls, tag: SignalTag) -> "PreparedState":
-        basis_class, bit = _TAG_CLASS_BIT[tag]
-        return cls(tag, basis_class, bit)
+        return _PREPARED_BY_TAG[tag]
 
     def state(self, labels: tuple[str, str] = ("B", "C")) -> StateVector:
         return signal_state(self.tag, labels)
+
+
+# The four possible preparations, built (and checked) once.
+_PREPARED_BY_TAG = {
+    tag: PreparedState(tag, *class_bit) for tag, class_bit in _TAG_CLASS_BIT.items()
+}
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ designation-first schedule: there is nothing to declare before designation
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -158,7 +159,7 @@ class SessionConfig:
 Preparation = Union[PreparedState, HbbPrep, HardenedPrep]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Announcement:
     """One classical broadcast, in global sequence order."""
 
@@ -169,7 +170,7 @@ class Announcement:
     payload: object
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundRecord:
     """Everything one round produced, classical and quantum.
 
@@ -200,7 +201,7 @@ class RoundRecord:
     declared_loss_cheat: bool = False
     recovered_dealer_bit: int | None = None
     recovered_charlie_outcome: int | None = None
-    _rng: np.random.Generator | None = field(default=None, repr=False, compare=False)
+    _rng: _RoundStream | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -272,15 +273,17 @@ def validate_session(config: SessionConfig, strategy: AttackStrategy | None) -> 
         )
 
 
-def _round_generators(seed: int, n: int) -> list[np.random.Generator]:
-    # Counter-style derivation: each round's generator depends only on
+def _round_streams(seed: int, n: int) -> list[_RoundStream]:
+    # Counter-style derivation: each round's stream depends only on
     # (seed, round index), never on how many draws other rounds made.
-    # Round i runs PCG64(words[2i] | words[2i+1] << 64); the seeding hash
-    # PCG64 would apply to that key runs here for all rounds at once.
+    # Round i is the stream of PCG64(words[2i] | words[2i+1] << 64).  Both
+    # the seeding hash PCG64 would apply to that key and the stream's first
+    # _TABLE_WIDTH outputs are computed here for all rounds at once.
     words = np.random.SeedSequence(seed).generate_state(2 * n, dtype=np.uint64)
-    states = _pcg64_seed_states(words.astype("<u8").view("<u4").reshape(n, 4))
-    seed_type = _precomputed_seed_type()
-    return [np.random.Generator(np.random.PCG64(seed_type(row))) for row in states]
+    seeds = _pcg64_seed_states(words.astype("<u8").view("<u4").reshape(n, 4))
+    width = _TABLE_WIDTH
+    table = array("Q", _pcg64_outputs(seeds, width).tobytes())
+    return [_RoundStream(table, seeds, i, width) for i in range(n)]
 
 
 # numpy's SeedSequence hash (NEP 19): the constants of its entropy mix and of
@@ -355,8 +358,134 @@ def _precomputed_seed_type() -> type:
     return PrecomputedSeed
 
 
-def _agent_basis(bases: tuple[Basis, ...], rng: np.random.Generator) -> Basis:
-    return bases[int(rng.integers(len(bases)))]
+# numpy's PCG64 (O'Neill, HMC-CS-2014-0905): a 128-bit LCG with this
+# multiplier, whose output is the XSL-RR permutation of each new state.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# PCG64 outputs per round held in the session table.  No round of any preset
+# (every ordering and mode, 20k rounds) uses more than 12; one that needs
+# more continues on its own PCG64.
+_TABLE_WIDTH = 16
+_LOW32 = np.uint64(0xFFFFFFFF)
+_DOUBLE_UNIT = 2.0**-53  # next_double: the top 53 bits of an output, scaled
+
+
+def _limbs(value: int) -> list[np.uint64]:
+    return [np.uint64(value >> (32 * k) & 0xFFFFFFFF) for k in range(4)]
+
+
+def _mul_add(x: list[np.ndarray], mult: list[np.uint64], add: list[np.ndarray]):
+    """``x * mult + add`` mod 2**128, on four 32-bit limbs (low limb first).
+
+    Each limb is a uint64 column holding 32 bits, so every partial product
+    fits, and a column sum of at most eight 32-bit terms does too.
+    """
+    cols = [a.copy() for a in add]
+    for i in range(4):
+        for j in range(4 - i):
+            if not mult[j]:
+                continue
+            product = x[i] * mult[j]
+            cols[i + j] += product & _LOW32
+            if i + j < 3:
+                cols[i + j + 1] += product >> 32
+    out, carry = [], 0
+    for col in cols:
+        col = col + carry
+        out.append(col & _LOW32)
+        carry = col >> 32
+    return out
+
+
+def _pcg64_outputs(seeds: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` ``random_raw()`` outputs of ``PCG64`` per seed row.
+
+    ``seeds`` is ``(n, 4)`` uint64, the words ``SeedSequence`` hands PCG64.
+    PCG64 seeds with ``initstate = w0 << 64 | w1`` and ``initseq = w2 << 64 |
+    w3``: ``state = 0``, ``inc = initseq << 1 | 1``, step, ``state +=
+    initstate``, step; each output then steps and permutes the new state.
+    Returns ``(n, width)`` uint64.
+    """
+    w0, w1, w2, w3 = (seeds[:, k] for k in range(4))
+    out = np.empty((seeds.shape[0], width), dtype=np.uint64)
+    inc = [
+        (w3 << 1 | 1) & _LOW32,
+        w3 >> 31 & _LOW32,
+        (w2 << 1 | w3 >> 63) & _LOW32,
+        w2 >> 31 & _LOW32,
+    ]
+    initstate = [w1 & _LOW32, w1 >> 32, w0 & _LOW32, w0 >> 32]
+    mult = _limbs(_PCG64_MULT)
+    state = _mul_add(inc, _limbs(1), initstate)  # 0 * mult + inc + initstate
+    state = _mul_add(state, mult, inc)
+    for k in range(width):
+        state = _mul_add(state, mult, inc)
+        xored = (state[3] << 32 | state[2]) ^ (state[1] << 32 | state[0])
+        rot = state[3] >> 26  # the top six bits of the state
+        out[:, k] = xored >> rot | xored << (64 - rot & 63)
+    return out
+
+
+class _RoundStream:
+    """One round's ``Generator(PCG64(key))`` stream, read from the session table.
+
+    It reproduces numpy call for call for the two calls every draw site
+    makes: ``random()`` (``next_double``) and ``integers(k)`` (the bounded
+    path for ``k - 1 < 2**32 - 1``: Lemire's method on 32-bit words, which
+    come from one 64-bit output low half first, as in ``pcg64_next32``).
+    Past the table's outputs it continues on the round's own PCG64.
+    """
+
+    __slots__ = ("_table", "_pos", "_end", "_half", "_seeds", "_index", "_pcg")
+
+    def __init__(self, table: array, seeds: np.ndarray, index: int, width: int):
+        self._table = table
+        self._pos = index * width
+        self._end = self._pos + width
+        self._half: int | None = None
+        self._seeds = seeds
+        self._index = index
+        self._pcg = None
+
+    def _next64(self) -> int:
+        pos = self._pos
+        if pos < self._end:
+            self._pos = pos + 1
+            return self._table[pos]
+        if self._pcg is None:
+            from numpy.random import PCG64
+
+            self._pcg = PCG64(_precomputed_seed_type()(self._seeds[self._index]))
+            self._pcg.advance(len(self._table) // len(self._seeds))
+        return self._pcg.random_raw()
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._next64()
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def random(self) -> float:
+        # The table read is inlined: this is the most frequent call per round.
+        pos = self._pos
+        if pos < self._end:
+            self._pos = pos + 1
+            return (self._table[pos] >> 11) * _DOUBLE_UNIT
+        return (self._next64() >> 11) * _DOUBLE_UNIT
+
+    def integers(self, k: int) -> int:
+        if not 0 < k < 1 << 32:
+            raise ValueError(f"integers(k) needs 0 < k < 2**32, got {k!r}")
+        if k == 1:
+            return 0  # numpy draws nothing for a one-value range
+        m = self._next32() * k
+        if m & 0xFFFFFFFF < k:
+            threshold = ((1 << 32) - k) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * k
+        return m >> 32
 
 
 def _prepare_round(
@@ -388,7 +517,7 @@ def _physical_round(
     index: int,
     config: SessionConfig,
     adversary: ActiveAdversary | None,
-    rng: np.random.Generator,
+    rng: _RoundStream,
 ) -> RoundRecord:
     registry = PhotonRegistry()
     test_coin = rng.random() < config.test_fraction
@@ -413,18 +542,18 @@ def _physical_round(
     if config.mode is Mode.CLASSICAL_KEY:
         bases = config.scheme.agent_bases
         if rec.delivered_charlie:
-            rec.charlie_basis = _agent_basis(bases, rng)
-            rec.charlie_outcome = registry.measure(
-                rec.charlie_label, rec.charlie_basis, rng
-            ).outcome
+            rec.charlie_basis, rec.charlie_outcome = registry.measure_random_basis(
+                rec.charlie_label, bases, rng
+            )
         bob_now = (
             rec.delivered_bob
             if adversary is None
             else adversary.bob_measures_immediately(rec)
         )
         if bob_now:
-            rec.bob_basis = _agent_basis(bases, rng)
-            rec.bob_outcome = registry.measure("B", rec.bob_basis, rng).outcome
+            rec.bob_basis, rec.bob_outcome = registry.measure_random_basis(
+                "B", bases, rng
+            )
     return rec
 
 
@@ -466,7 +595,7 @@ def _announce(
     every ordering runs the designation-first schedule).  Message rounds
     carry no declaration, so every step below skips them.
 
-    Each round draws only from its own generator and registry, so a round's
+    Each round draws only from its own stream and registry, so a round's
     later steps may run as soon as its own earlier ones have.
     """
     log: list[Announcement] = []
@@ -493,10 +622,9 @@ def _announce(
             # Simulation order within the round: Charlie's measurement first
             # so factor merges stay small; the operations act on disjoint
             # photons, so announcement order is unaffected.
-            rec.charlie_basis = _agent_basis(bases, rng)
-            rec.charlie_outcome = rec.registry.measure(
-                rec.charlie_label, rec.charlie_basis, rng
-            ).outcome
+            rec.charlie_basis, rec.charlie_outcome = rec.registry.measure_random_basis(
+                rec.charlie_label, bases, rng
+            )
         if adversary is None:
             rec.declared_bob = rec.delivered_bob
         elif sifting:
@@ -510,8 +638,9 @@ def _announce(
         else:
             rec.declared_bob = adversary.untouched_test_declaration(rec, rng)
         if state_sharing and rec.declared_bob and rec.bob_outcome is None:
-            rec.bob_basis = _agent_basis(bases, rng)
-            rec.bob_outcome = rec.registry.measure("B", rec.bob_basis, rng).outcome
+            rec.bob_basis, rec.bob_outcome = rec.registry.measure_random_basis(
+                "B", bases, rng
+            )
         rec.declared_charlie = rec.delivered_charlie
     for rec in rounds:
         for party, declared, _, _ in _declarations(rec):
@@ -594,9 +723,9 @@ def run_session(
     validate_session(config, strategy)
     active = strategy is not None and strategy.kind is not AttackKind.PASSIVE
     adversary = ActiveAdversary(strategy, config.channel) if active else None
-    generators = _round_generators(config.seed, config.rounds)
+    streams = _round_streams(config.seed, config.rounds)
     rounds = [
-        _physical_round(i, config, adversary, generators[i])
+        _physical_round(i, config, adversary, streams[i])
         for i in range(config.rounds)
     ]
     return SessionTranscript(

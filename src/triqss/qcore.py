@@ -2,8 +2,9 @@
 
 Everything in this module is small, dense linear algebra over explicit
 amplitude vectors.  States are immutable; nothing here mutates its input.
-All stochastic operations take an explicit ``numpy.random.Generator`` so a
-fixed seed reproduces the same trajectory.
+All stochastic operations take an explicit random source with numpy's
+``random()`` and ``integers(k)`` (a session's per-round stream or a
+``numpy.random.Generator``), so a fixed seed reproduces the same trajectory.
 
 A session revisits the same few states thousands of times, so the sampled
 kernels (``measure_qubit``, ``measure_two_qubit_basis`` and

@@ -38,6 +38,11 @@ from .qcore import (
 )
 
 
+def pick_basis(bases: tuple[Basis, ...], rng: np.random.Generator) -> Basis:
+    """An agent's basis choice: one of ``bases``, drawn uniformly."""
+    return bases[rng.integers(len(bases))]
+
+
 class PhotonRegistry:
     """Mutable set of disjoint pure-state factors keyed by qubit label."""
 
@@ -98,6 +103,16 @@ class PhotonRegistry:
         else:
             self._factors[idx] = result.post_state
         return result
+
+    def measure_random_basis(
+        self, label: str, bases: tuple[Basis, ...], rng: np.random.Generator
+    ) -> tuple[Basis, int]:
+        """An agent's measurement: ``pick_basis``, then ``measure`` in it.
+
+        Returns ``(basis, outcome)``.
+        """
+        basis = pick_basis(bases, rng)
+        return basis, self.measure(label, basis, rng).outcome
 
     def measure_pair(
         self,

@@ -18,7 +18,7 @@ from triqss.protocol import (
     SessionConfig,
     run_session,
 )
-from triqss.qcore import Basis, BellOutcome, SignalTag, signal_state
+from triqss.qcore import BellOutcome, signal_state
 
 
 class TestPlannedFraction:

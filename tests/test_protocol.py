@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import random
 
 import numpy as np
 import pytest
 
+import triqss.protocol as protocol
 from triqss.channel import ChannelConfig
 from triqss.protocol import (
     AnnouncementOrderError,
@@ -16,7 +18,7 @@ from triqss.protocol import (
     Scheme,
     SessionConfig,
     _pcg64_seed_states,
-    _round_generators,
+    _round_streams,
     distill_keys,
     export_transcript_jsonl,
     extract_bits,
@@ -26,7 +28,9 @@ from triqss.protocol import (
 )
 from triqss.adversary import AttackKind, AttackStrategy
 from triqss.conventions import correlated_bases
+from triqss.harness import preset_experiment
 from triqss.qcore import ATOL, overlap
+from test_golden import GOLDEN_DIGESTS, GOLDEN_ROUNDS, GOLDEN_SEED, _digests
 
 
 def honest_config(**overrides):
@@ -300,7 +304,11 @@ class TestTranscriptExport:
 
 
 class TestRoundGenerators:
-    """The bulk seed derivation reproduces numpy's per-round seeding exactly."""
+    """The bulk derivation reproduces numpy's per-round PCG64 streams exactly."""
+
+    # integers(k) bounds: 1 draws nothing, 2**31 + 1 makes the rejection
+    # loop run about every other call.
+    BOUNDS = (1, 2, 3, 4, 5, 7, 1000, 2**31 + 1)
 
     EDGE_KEYS = (0, 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1, 2**96, 2**127, 2**128 - 1)
 
@@ -333,9 +341,56 @@ class TestRoundGenerators:
 
     def test_generators_equal_per_round_pcg64(self):
         seed, n = 11, 200
-        generators = _round_generators(seed, n)
-        for key, rng in zip(self.session_keys(seed, n), generators):
+        streams = _round_streams(seed, n)
+        for key, rng in zip(self.session_keys(seed, n), streams):
             reference = np.random.Generator(np.random.PCG64(key))
-            assert rng.bit_generator.state == reference.bit_generator.state
-            assert rng.random(3).tolist() == reference.random(3).tolist()
-            assert rng.integers(4, size=3).tolist() == reference.integers(4, size=3).tolist()
+            assert [rng.random() for _ in range(3)] == reference.random(3).tolist()
+            assert [rng.integers(4) for _ in range(3)] == (
+                reference.integers(4, size=3).tolist()
+            )
+
+    @classmethod
+    def script(cls, index):
+        """40 calls, fixed per round index; the first three make the 32-bit
+        half-word buffer carry across a ``random()``."""
+        pick = random.Random(index)
+        calls = [4, None, 5]
+        calls += [
+            None if pick.random() < 0.4 else pick.choice(cls.BOUNDS) for _ in range(37)
+        ]
+        return calls
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**40 + 3, 2**127 + 5])
+    def test_streams_match_generators_call_for_call(self, seed):
+        n = 200
+        streams = _round_streams(seed, n)
+        for index, (key, rng) in enumerate(zip(self.session_keys(seed, n), streams)):
+            reference = np.random.Generator(np.random.PCG64(key))
+            for call, k in enumerate(self.script(index)):
+                if k is None:
+                    got, want = rng.random(), reference.random()
+                else:
+                    got, want = rng.integers(k), int(reference.integers(k))
+                assert got == want, (seed, index, call, k)
+            # 40 calls read past the table into the round's own PCG64
+            assert rng._pcg is not None
+
+    def test_stream_rejects_bounds_outside_the_32_bit_path(self):
+        rng = _round_streams(3, 1)[0]
+        for k in (0, -1, 2**32, 2**40):
+            with pytest.raises(ValueError):
+                rng.integers(k)
+
+    def test_table_overflow_keeps_golden_output(self, monkeypatch, tmp_path):
+        # With a one-output table every round continues on its own PCG64.
+        monkeypatch.setattr(protocol, "_TABLE_WIDTH", 1)
+        name = "hardened"  # the preset with the most outputs per round
+        experiment = preset_experiment(name, rounds=GOLDEN_ROUNDS, seed=GOLDEN_SEED)
+        assert _digests(experiment, tmp_path / "t.jsonl") == GOLDEN_DIGESTS[name]
+
+
+def test_round_records_and_announcements_are_slotted():
+    transcript = run_session(honest_config(rounds=20))
+    assert transcript.announcements
+    for item in [*transcript.rounds, *transcript.announcements]:
+        assert not hasattr(item, "__dict__"), type(item).__name__
