@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .channel import ChannelConfig, loss_filter
 from .preparation import HardenedPrep
 from .qcore import (
@@ -38,6 +36,7 @@ from .qcore import (
     BellOutcome,
     BELL_ORDER,
     PauliCorrection,
+    RandomSource,
     bell_basis_vectors,
     bell_state,
     rotated_bell_basis_vectors,
@@ -123,7 +122,7 @@ class ActiveAdversary:
 
     # -- interception -----------------------------------------------------
 
-    def substitute(self, rec, rng: np.random.Generator) -> None:
+    def substitute(self, rec, rng: RandomSource) -> None:
         """Route one round through the replacement channel.
 
         Both photons of the round arrive (or are lost) together with
@@ -162,7 +161,7 @@ class ActiveAdversary:
             if not rec.delivered_charlie:
                 rec.registry.discard("C", rng)
 
-    def _early_bell(self, rec, rng: np.random.Generator) -> None:
+    def _early_bell(self, rec, rng: RandomSource) -> None:
         """Swap-or-drop right now, before any designation is known."""
         result = rec.registry.measure_pair(
             (FAKE_BOB, "C"), bell_basis_vectors(), rng
@@ -189,7 +188,7 @@ class ActiveAdversary:
             return rec.branch == "good"
         return False  # deferred: keep everything unmeasured
 
-    def sifting_declaration(self, rec, rng: np.random.Generator) -> bool:
+    def sifting_declaration(self, rec, rng: RandomSource) -> bool:
         """Detection declared before any designation exists (SiftingFirst)."""
         if not rec.delivered_bob:
             return False
@@ -199,7 +198,7 @@ class ActiveAdversary:
         # the honest-looking rate on every round, attacked or not.
         return loss_filter(self.channel.eta / self.channel.eta_prime, rng)
 
-    def untouched_test_declaration(self, rec, rng: np.random.Generator) -> bool:
+    def untouched_test_declaration(self, rec, rng: RandomSource) -> bool:
         """Detection declaration for a non-attacked round designated as test.
 
         Entangled rounds are declared whenever they arrived: attacked test
@@ -220,7 +219,7 @@ class ActiveAdversary:
     def respond_test(
         self,
         rec,
-        rng: np.random.Generator,
+        rng: RandomSource,
         loss_branch_available: bool,
         agent_bases: tuple[Basis, ...],
     ) -> None:
@@ -290,7 +289,7 @@ class ActiveAdversary:
         else:
             rec.declared_bob = False
 
-    def key_declaration(self, rec, rng: np.random.Generator) -> bool:
+    def key_declaration(self, rec, rng: RandomSource) -> bool:
         """Detection declaration for a round designated a key round."""
         if not rec.delivered_bob:
             return False
@@ -298,13 +297,13 @@ class ActiveAdversary:
             return not rec.attacked or rec.branch == "good"
         return loss_filter(self.channel.eta / self.channel.eta_prime, rng)
 
-    def fake_key_basis(self, rng: np.random.Generator, agent_bases) -> Basis:
+    def fake_key_basis(self, rng: RandomSource, agent_bases) -> Basis:
         """Basis announced for an attacked key round (nothing was measured)."""
         return pick_basis(agent_bases, rng)
 
     # -- key recovery ------------------------------------------------------
 
-    def recover_dealer_bit(self, rec, basis_class: int, rng: np.random.Generator) -> int:
+    def recover_dealer_bit(self, rec, basis_class: int, rng: RandomSource) -> int:
         """Read the dealer's key bit off the parked signal pair.
 
         Once the basis class is public the two candidate states are two

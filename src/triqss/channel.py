@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from .qcore import RandomSource
 
 
 def _check_probability(name: str, value: float) -> None:
@@ -35,17 +35,20 @@ class ChannelConfig:
     eta_prime: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_probability("eta", self.eta)
-        _check_probability("eta_prime", self.eta_prime)
+        for name in ("eta", "eta_prime"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            _check_probability(name, value)
 
 
-def transmit(efficiency: float, rng: np.random.Generator) -> bool:
+def transmit(efficiency: float, rng: RandomSource) -> bool:
     """One Bernoulli trial of a lossy leg; True means the photon arrived."""
     _check_probability("efficiency", efficiency)
     return bool(rng.random() < efficiency)
 
 
-def loss_filter(keep_probability: float, rng: np.random.Generator) -> bool:
+def loss_filter(keep_probability: float, rng: RandomSource) -> bool:
     """Deliberate thinning of already-received photons; True means kept.
 
     Used to degrade a good channel down to an advertised efficiency, e.g.

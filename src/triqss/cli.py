@@ -42,9 +42,6 @@ from .protocol import (
     export_transcript_jsonl,
 )
 
-_ORDERINGS = {p.value: p for p in OrderingPolicy}
-_MODES = {m.value: m for m in Mode}
-
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
@@ -98,9 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one experiment preset")
     p_run.add_argument("--preset", choices=PRESET_NAMES, default=None,
                        help="experiment preset (default honest)")
-    p_run.add_argument("--ordering", choices=sorted(_ORDERINGS), default=None,
-                       help="announcement ordering override")
-    p_run.add_argument("--mode", choices=sorted(_MODES), default=None,
+    p_run.add_argument("--ordering", choices=sorted(p.value for p in OrderingPolicy),
+                       default=None, help="announcement ordering override")
+    p_run.add_argument("--mode", choices=sorted(m.value for m in Mode), default=None,
                        help="round usage mode override")
     p_run.add_argument("--repetitions", type=int, default=None,
                        help="sessions to pool (default 1)")
@@ -190,14 +187,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     mode = _merge(args, "mode", None)
     config = preset_experiment(
         _merge(args, "preset", "honest"),
-        eta=float(_merge(args, "eta", 0.3)),
-        eta_prime=float(_merge(args, "eta_prime", 0.6)),
-        rounds=int(_merge(args, "rounds", 20_000)),
-        seed=int(_merge(args, "seed", 0)),
-        repetitions=int(_merge(args, "repetitions", 1)),
-        test_fraction=float(_merge(args, "test_fraction", 0.25)),
-        ordering=_ORDERINGS[ordering] if ordering else None,
-        mode=_MODES[mode] if mode else None,
+        eta=_merge(args, "eta", 0.3),
+        eta_prime=_merge(args, "eta_prime", 0.6),
+        rounds=_merge(args, "rounds", 20_000),
+        seed=_merge(args, "seed", 0),
+        repetitions=_merge(args, "repetitions", 1),
+        test_fraction=_merge(args, "test_fraction", 0.25),
+        ordering=OrderingPolicy(ordering) if ordering else None,
+        mode=Mode(mode) if mode else None,
     )
     transcript_path = _merge(args, "transcript", None)
     report = run_experiment(config, keep_transcripts=transcript_path is not None)
@@ -222,17 +219,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _load_config_file(args)
     raw = _merge(args, "eta_primes", "0.25,0.3,0.35,0.4,0.45,0.5")
     if isinstance(raw, str):
-        values = tuple(float(v) for v in raw.split(",") if v.strip())
-    else:
-        values = tuple(float(v) for v in raw)
-    if not values:
-        raise ConfigError("eta_primes", "need at least one replacement efficiency")
+        raw = [float(v) for v in raw.split(",") if v.strip()]
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError("eta_primes", "need a list of at least one efficiency")
+    values = tuple(raw)
     rows = sweep_pe(
-        eta=float(_merge(args, "eta", 0.25)),
+        eta=_merge(args, "eta", 0.25),
         eta_prime_values=values,
-        rounds=int(_merge(args, "rounds", 20_000)),
-        seed=int(_merge(args, "seed", 0)),
-        repetitions=int(_merge(args, "repetitions", 1)),
+        rounds=_merge(args, "rounds", 20_000),
+        seed=_merge(args, "seed", 0),
+        repetitions=_merge(args, "repetitions", 1),
     )
     header = (
         f"{'eta_prime':>9} {'formula_f':>9} {'measured_f':>10} "

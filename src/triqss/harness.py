@@ -31,6 +31,7 @@ from .conventions import (
 )
 from .protocol import (
     CheckReport,
+    ConfigError,
     Mode,
     NoTestDataError,
     OrderingPolicy,
@@ -342,8 +343,11 @@ def sweep_pe(
     usable test data gets the note ``NO_TEST_DATA_NOTE`` and the sweep goes
     on with the next point.
     """
+    if not _is_int(seed):  # ``seed + 1000 * i`` would turn True into 1
+        raise ConfigError("seed", f"need a non-negative integer, got {seed!r}")
     out: list[dict] = []
     for i, eta_prime in enumerate(eta_prime_values):
+        ChannelConfig(eta=eta, eta_prime=eta_prime)  # checks both before comparing
         if eta_prime < eta:
             out.append(
                 _note_row(

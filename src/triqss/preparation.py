@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .conventions import HBB_CLASS_OF_BASIS, hbb_dealer_bit
 from .qcore import (
     Basis,
     Measurement,
+    RandomSource,
     SignalTag,
     StateVector,
     basis_ket,
@@ -98,7 +97,7 @@ class HardenedPrep:
 def hbb_reduce(
     state: StateVector,
     alice_basis: Basis,
-    rng: np.random.Generator,
+    rng: RandomSource,
     label: str = "A",
 ) -> tuple[int, StateVector]:
     """Measure the dealer's GHZ photon, collapsing the agents' pair.
@@ -116,7 +115,7 @@ def hbb_reduce(
 
 
 def prepare_hardened_test_round(
-    rng: np.random.Generator,
+    rng: RandomSource,
     labels: tuple[str, str] = ("B", "C"),
 ) -> tuple[HardenedPrep, StateVector, StateVector]:
     """Draw a hardened test round: random basis and eigenstate per leg."""

@@ -36,7 +36,6 @@ import json
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -120,6 +119,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """An int or float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     """Everything a session needs apart from the adversary's strategy."""
@@ -139,19 +143,12 @@ class SessionConfig:
             raise ConfigError("channel", "expected a ChannelConfig")
         if not _is_int(self.rounds) or self.rounds < 1:
             raise ConfigError("rounds", f"need a positive integer, got {self.rounds!r}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError(
-                "test_fraction", f"must lie strictly in (0, 1), got {self.test_fraction}"
-            )
-        if not 0.0 < self.error_threshold < 1.0:
-            raise ConfigError(
-                "error_threshold", f"must lie in (0, 1), got {self.error_threshold}"
-            )
-        if not 0.0 < self.efficiency_tolerance < 1.0:
-            raise ConfigError(
-                "efficiency_tolerance",
-                f"must lie in (0, 1), got {self.efficiency_tolerance}",
-            )
+        for name in ("test_fraction", "error_threshold", "efficiency_tolerance"):
+            value = getattr(self, name)
+            if not (_is_real(value) and 0.0 < value < 1.0):
+                raise ConfigError(
+                    name, f"must be a number strictly in (0, 1), got {value!r}"
+                )
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed", f"need a non-negative integer, got {self.seed!r}")
 
@@ -274,218 +271,55 @@ def validate_session(config: SessionConfig, strategy: AttackStrategy | None) -> 
 
 
 def _round_streams(seed: int, n: int) -> list[_RoundStream]:
-    # Counter-style derivation: each round's stream depends only on
-    # (seed, round index), never on how many draws other rounds made.
-    # Round i is the stream of PCG64(words[2i] | words[2i+1] << 64).  Both
-    # the seeding hash PCG64 would apply to that key and the stream's first
-    # _TABLE_WIDTH outputs are computed here for all rounds at once.
-    words = np.random.SeedSequence(seed).generate_state(2 * n, dtype=np.uint64)
-    seeds = _pcg64_seed_states(words.astype("<u8").view("<u4").reshape(n, 4))
+    # Counter-based (Salmon et al., "Parallel Random Numbers: As Easy as
+    # 1, 2, 3", SC'11): round i reads row i of one Philox table, so its
+    # draws depend only on (seed, round index), never on how many draws
+    # other rounds made.  Only the bit generator's raw stream is used, which
+    # numpy keeps stable.  Imported here: loading numpy.random with triqss
+    # would add to every interpreter's start-up.
+    from numpy.random import Philox
+
     width = _TABLE_WIDTH
-    table = array("Q", _pcg64_outputs(seeds, width).tobytes())
-    return [_RoundStream(table, seeds, i, width) for i in range(n)]
+    raw = Philox(seed).random_raw((n, width))
+    table = array("d", ((raw >> 11) * _DOUBLE_UNIT).tobytes())
+    return [_RoundStream(table, i, width) for i in range(n)]
 
 
-# numpy's SeedSequence hash (NEP 19): the constants of its entropy mix and of
-# its output stage.
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash_constants(
-    init: int, mult: int, steps: int
-) -> list[tuple[np.uint32, np.uint32]]:
-    """The (xor, multiply) constants of ``steps`` successive hash steps."""
-    chain = [init]
-    for _ in range(steps):
-        chain.append(chain[-1] * mult & 0xFFFFFFFF)
-    return [(np.uint32(a), np.uint32(b)) for a, b in zip(chain, chain[1:])]
-
-
-def _pcg64_seed_states(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(key).generate_state(4, np.uint64)`` for each row's key.
-
-    ``entropy`` is ``(n, 4)`` uint32: each row a 128-bit key as little-endian
-    32-bit words, which is how SeedSequence splits an integer (its trailing
-    zero words hash the same as its 4-word pool padding).  The hash constants
-    never depend on the data, so every step of the 4-word pool's mix runs on
-    whole columns.  Returns ``(n, 4)`` uint64.
-    """
-    shift = np.uint32(16)
-    steps = iter(_hash_constants(_HASH_INIT_A, _HASH_MULT_A, 16))
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        xor, mult = next(steps)
-        value = (value ^ xor) * mult
-        return value ^ (value >> shift)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return out ^ (out >> shift)
-
-    out = np.empty((entropy.shape[0], 8), dtype="<u4")
-    output_steps = _hash_constants(_HASH_INIT_B, _HASH_MULT_B, 8)
-    with np.errstate(over="ignore"):
-        pool = [hashmix(entropy[:, i]) for i in range(4)]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for k, (xor, mult) in enumerate(output_steps):
-            value = (pool[k % 4] ^ xor) * mult
-            out[:, k] = value ^ (value >> shift)
-    return out.view("<u8").astype(np.uint64)
-
-
-@lru_cache(maxsize=None)
-def _precomputed_seed_type() -> type:
-    # Defined on first use: importing numpy.random with triqss would add
-    # to every interpreter's start-up.
-    from numpy.random.bit_generator import ISeedSequence
-
-    class PrecomputedSeed(ISeedSequence):
-        """Hands PCG64 a seed state derived by ``_pcg64_seed_states``."""
-
-        def __init__(self, state: np.ndarray) -> None:
-            self._state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError("only PCG64's (4, uint64) request is precomputed")
-            return self._state
-
-    return PrecomputedSeed
-
-
-# numpy's PCG64 (O'Neill, HMC-CS-2014-0905): a 128-bit LCG with this
-# multiplier, whose output is the XSL-RR permutation of each new state.
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# PCG64 outputs per round held in the session table.  No round of any preset
-# (every ordering and mode, 20k rounds) uses more than 12; one that needs
-# more continues on its own PCG64.
+# Uniforms per round in the session table.  The most any round reads is 14:
+# an attacked hardened test round under the refined or sifting ordering
+# (test coin 1, product preparation 4, interception 3, Charlie's measurement
+# 2, the agent's answer 3, and the interleave coin or the early declaration
+# 1).  At 13 exactly those rounds overrun.
 _TABLE_WIDTH = 16
-_LOW32 = np.uint64(0xFFFFFFFF)
-_DOUBLE_UNIT = 2.0**-53  # next_double: the top 53 bits of an output, scaled
-
-
-def _limbs(value: int) -> list[np.uint64]:
-    return [np.uint64(value >> (32 * k) & 0xFFFFFFFF) for k in range(4)]
-
-
-def _mul_add(x: list[np.ndarray], mult: list[np.uint64], add: list[np.ndarray]):
-    """``x * mult + add`` mod 2**128, on four 32-bit limbs (low limb first).
-
-    Each limb is a uint64 column holding 32 bits, so every partial product
-    fits, and a column sum of at most eight 32-bit terms does too.
-    """
-    cols = [a.copy() for a in add]
-    for i in range(4):
-        for j in range(4 - i):
-            if not mult[j]:
-                continue
-            product = x[i] * mult[j]
-            cols[i + j] += product & _LOW32
-            if i + j < 3:
-                cols[i + j + 1] += product >> 32
-    out, carry = [], 0
-    for col in cols:
-        col = col + carry
-        out.append(col & _LOW32)
-        carry = col >> 32
-    return out
-
-
-def _pcg64_outputs(seeds: np.ndarray, width: int) -> np.ndarray:
-    """The first ``width`` ``random_raw()`` outputs of ``PCG64`` per seed row.
-
-    ``seeds`` is ``(n, 4)`` uint64, the words ``SeedSequence`` hands PCG64.
-    PCG64 seeds with ``initstate = w0 << 64 | w1`` and ``initseq = w2 << 64 |
-    w3``: ``state = 0``, ``inc = initseq << 1 | 1``, step, ``state +=
-    initstate``, step; each output then steps and permutes the new state.
-    Returns ``(n, width)`` uint64.
-    """
-    w0, w1, w2, w3 = (seeds[:, k] for k in range(4))
-    out = np.empty((seeds.shape[0], width), dtype=np.uint64)
-    inc = [
-        (w3 << 1 | 1) & _LOW32,
-        w3 >> 31 & _LOW32,
-        (w2 << 1 | w3 >> 63) & _LOW32,
-        w2 >> 31 & _LOW32,
-    ]
-    initstate = [w1 & _LOW32, w1 >> 32, w0 & _LOW32, w0 >> 32]
-    mult = _limbs(_PCG64_MULT)
-    state = _mul_add(inc, _limbs(1), initstate)  # 0 * mult + inc + initstate
-    state = _mul_add(state, mult, inc)
-    for k in range(width):
-        state = _mul_add(state, mult, inc)
-        xored = (state[3] << 32 | state[2]) ^ (state[1] << 32 | state[0])
-        rot = state[3] >> 26  # the top six bits of the state
-        out[:, k] = xored >> rot | xored << (64 - rot & 63)
-    return out
+_DOUBLE_UNIT = 2.0**-53  # the top 53 bits of a raw output, scaled to [0, 1)
 
 
 class _RoundStream:
-    """One round's ``Generator(PCG64(key))`` stream, read from the session table.
+    """One round's row of the session's uniform table, read in order.
 
-    It reproduces numpy call for call for the two calls every draw site
-    makes: ``random()`` (``next_double``) and ``integers(k)`` (the bounded
-    path for ``k - 1 < 2**32 - 1``: Lemire's method on 32-bit words, which
-    come from one 64-bit output low half first, as in ``pcg64_next32``).
-    Past the table's outputs it continues on the round's own PCG64.
+    It answers the two calls every draw site makes on a random source:
+    ``random()`` returns the next cell and ``integers(k)`` scales it, which
+    is exactly uniform when ``k`` is a power of two (the bounds used are 2
+    and 4).  A round that reads past its row raises ``RuntimeError``.
     """
 
-    __slots__ = ("_table", "_pos", "_end", "_half", "_seeds", "_index", "_pcg")
+    __slots__ = ("_table", "_pos", "_end", "_index")
 
-    def __init__(self, table: array, seeds: np.ndarray, index: int, width: int):
+    def __init__(self, table: array, index: int, width: int):
         self._table = table
         self._pos = index * width
         self._end = self._pos + width
-        self._half: int | None = None
-        self._seeds = seeds
         self._index = index
-        self._pcg = None
-
-    def _next64(self) -> int:
-        pos = self._pos
-        if pos < self._end:
-            self._pos = pos + 1
-            return self._table[pos]
-        if self._pcg is None:
-            from numpy.random import PCG64
-
-            self._pcg = PCG64(_precomputed_seed_type()(self._seeds[self._index]))
-            self._pcg.advance(len(self._table) // len(self._seeds))
-        return self._pcg.random_raw()
-
-    def _next32(self) -> int:
-        half = self._half
-        if half is not None:
-            self._half = None
-            return half
-        word = self._next64()
-        self._half = word >> 32
-        return word & 0xFFFFFFFF
 
     def random(self) -> float:
-        # The table read is inlined: this is the most frequent call per round.
         pos = self._pos
-        if pos < self._end:
-            self._pos = pos + 1
-            return (self._table[pos] >> 11) * _DOUBLE_UNIT
-        return (self._next64() >> 11) * _DOUBLE_UNIT
+        if pos == self._end:
+            raise RuntimeError(f"round {self._index} read past its table row")
+        self._pos = pos + 1
+        return self._table[pos]
 
     def integers(self, k: int) -> int:
-        if not 0 < k < 1 << 32:
-            raise ValueError(f"integers(k) needs 0 < k < 2**32, got {k!r}")
-        if k == 1:
-            return 0  # numpy draws nothing for a one-value range
-        m = self._next32() * k
-        if m & 0xFFFFFFFF < k:
-            threshold = ((1 << 32) - k) % k
-            while m & 0xFFFFFFFF < threshold:
-                m = self._next32() * k
-        return m >> 32
+        return int(self.random() * k)
 
 
 def _prepare_round(

@@ -2,9 +2,9 @@
 
 Everything in this module is small, dense linear algebra over explicit
 amplitude vectors.  States are immutable; nothing here mutates its input.
-All stochastic operations take an explicit random source with numpy's
-``random()`` and ``integers(k)`` (a session's per-round stream or a
-``numpy.random.Generator``), so a fixed seed reproduces the same trajectory.
+All stochastic operations take an explicit ``RandomSource``: numpy's
+``random()`` and ``integers(k)``, from a session's per-round stream or a
+``numpy.random.Generator``, so a fixed seed reproduces the same trajectory.
 
 A session revisits the same few states thousands of times, so the sampled
 kernels (``measure_qubit``, ``measure_two_qubit_basis`` and
@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Protocol
 
 import numpy as np
 
@@ -40,6 +41,14 @@ ATOL = 1e-9
 ZERO_PROB = 1e-12
 
 _SQ2 = 1.0 / np.sqrt(2.0)
+
+
+class RandomSource(Protocol):
+    """The two draws every sampled operation makes."""
+
+    def random(self) -> float: ...
+
+    def integers(self, k: int) -> int: ...
 
 
 class Basis(Enum):
@@ -465,7 +474,7 @@ def project_pair(
 
 
 def measure_qubit(
-    state: StateVector, label: str, basis: Basis, rng: np.random.Generator
+    state: StateVector, label: str, basis: Basis, rng: RandomSource
 ) -> Measurement:
     """Projective measurement of one qubit, sampled with ``rng``.
 
@@ -516,7 +525,7 @@ def measure_two_qubit_basis(
     state: StateVector,
     pair: tuple[str, str],
     basis_vectors: np.ndarray,
-    rng: np.random.Generator,
+    rng: RandomSource,
 ) -> PairMeasurement:
     """Joint measurement of two qubits in an orthonormal four-vector basis.
 
@@ -576,7 +585,7 @@ def _branches_from_residuals(residuals, rest: tuple[str, ...]) -> _PairBranches:
 
 
 def _draw_pair_branch(
-    branches: _PairBranches, rng: np.random.Generator
+    branches: _PairBranches, rng: RandomSource
 ) -> PairMeasurement:
     """Sample one branch: a single uniform walked through the running sums."""
     results, cumulative = branches

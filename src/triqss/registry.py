@@ -25,6 +25,7 @@ from .qcore import (
     Measurement,
     PairMeasurement,
     PauliCorrection,
+    RandomSource,
     StateVector,
     _PairBranches,
     _branches_from_residuals,
@@ -38,7 +39,7 @@ from .qcore import (
 )
 
 
-def pick_basis(bases: tuple[Basis, ...], rng: np.random.Generator) -> Basis:
+def pick_basis(bases: tuple[Basis, ...], rng: RandomSource) -> Basis:
     """An agent's basis choice: one of ``bases``, drawn uniformly."""
     return bases[rng.integers(len(bases))]
 
@@ -94,7 +95,7 @@ class PhotonRegistry:
         idx = self._index_of(label)
         self._factors[idx] = apply_correction(self._factors[idx], label, correction)
 
-    def measure(self, label: str, basis: Basis, rng: np.random.Generator) -> Measurement:
+    def measure(self, label: str, basis: Basis, rng: RandomSource) -> Measurement:
         """Measure one photon; it is removed from the registry."""
         idx = self._index_of(label)
         result = measure_qubit(self._factors[idx], label, basis, rng)
@@ -105,7 +106,7 @@ class PhotonRegistry:
         return result
 
     def measure_random_basis(
-        self, label: str, bases: tuple[Basis, ...], rng: np.random.Generator
+        self, label: str, bases: tuple[Basis, ...], rng: RandomSource
     ) -> tuple[Basis, int]:
         """An agent's measurement: ``pick_basis``, then ``measure`` in it.
 
@@ -118,7 +119,7 @@ class PhotonRegistry:
         self,
         pair: tuple[str, str],
         basis_vectors: np.ndarray,
-        rng: np.random.Generator,
+        rng: RandomSource,
     ) -> PairMeasurement:
         """Joint two-photon measurement; both photons are removed.
 
@@ -142,7 +143,7 @@ class PhotonRegistry:
             self._factors.append(result.post_state)
         return result
 
-    def discard(self, label: str, rng: np.random.Generator) -> None:
+    def discard(self, label: str, rng: RandomSource) -> None:
         """Erase a lost photon (hidden Z measurement, outcome dropped)."""
         self.measure(label, Basis.Z, rng)
 
@@ -158,7 +159,7 @@ class PhotonRegistry:
         i2: int,
         pair: tuple[str, str],
         basis_vectors: np.ndarray,
-        rng: np.random.Generator,
+        rng: RandomSource,
     ) -> PairMeasurement:
         f1 = self._factors[i1]
         f2 = self._factors[i2]

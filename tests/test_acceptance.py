@@ -3,7 +3,9 @@
 Each criterion is one test, so a verbose pytest run yields one pass/fail
 line per criterion.  Expensive sessions are shared through module-scoped
 fixtures; all seeds are pinned and were chosen to leave a comfortable
-statistical margin, not to sit at a tolerance edge.
+statistical margin, not to sit at a tolerance edge.  They were chosen on the
+old per-round ``PCG64`` streams and kept unchanged, with every round count
+and tolerance, when the streams moved to one ``Philox`` table per session.
 """
 
 from dataclasses import replace

@@ -17,7 +17,8 @@ def run_cli(capsys, *argv):
 class TestRunCommand:
     def test_honest_run_summary(self, capsys):
         code, out, err = run_cli(
-            capsys, "run", "--preset", "honest", "--rounds", "1500", "--seed", "1"
+            capsys, "run", "--preset", "honest", "--rounds", "1500", "--seed", "1",
+            "--eta", "1.0", "--eta-prime", "1.0",
         )
         assert code == EXIT_OK
         assert err == ""
@@ -29,7 +30,7 @@ class TestRunCommand:
         code, out, _ = run_cli(
             capsys,
             "run", "--preset", "honest", "--rounds", "1000",
-            "--expect", "compromised",
+            "--eta", "1.0", "--eta-prime", "1.0", "--expect", "compromised",
         )
         assert code == EXIT_ASSERTION
         assert "expected verdict" in out
@@ -74,7 +75,7 @@ class TestRunCommand:
         code, out, _ = run_cli(
             capsys,
             "run", "--preset", "honest", "--rounds", "800",
-            "--out", str(out_path),
+            "--eta", "1.0", "--eta-prime", "1.0", "--out", str(out_path),
         )
         assert code == EXIT_OK
         assert f"report written to {out_path}" in out
@@ -89,6 +90,7 @@ class TestRunCommand:
         code, _, _ = run_cli(
             capsys,
             "run", "--preset", "honest", "--rounds", "800",
+            "--eta", "1.0", "--eta-prime", "1.0",
             "--out", str(out_path), "--format", "json",
         )
         assert code == EXIT_OK
@@ -131,6 +133,28 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
         assert "error:" in err
 
+    @pytest.mark.parametrize("values,key", [
+        ({"rounds": True}, "rounds"),
+        ({"rounds": 2500.9}, "rounds"),
+        ({"seed": 1.7}, "seed"),
+        ({"seed": False}, "seed"),
+        ({"repetitions": True}, "repetitions"),
+        ({"repetitions": 2.0}, "repetitions"),
+        ({"eta": True}, "eta"),
+        ({"eta_prime": "0.6"}, "eta_prime"),
+        ({"test_fraction": False}, "test_fraction"),
+        ({"test_fraction": "0.25"}, "test_fraction"),
+        ({"ordering": "bogus"}, "'bogus' is not a valid OrderingPolicy"),
+        ({"mode": "bogus"}, "'bogus' is not a valid Mode"),
+    ])
+    def test_config_file_values_are_not_coerced(self, tmp_path, capsys, values, key):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"rounds": 200, **values}))
+        code, out, err = run_cli(capsys, "run", "--config", str(config_path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith(f"error: {key}")
+
 
 class TestSweepCommand:
     def test_sweep_prints_grid_and_writes_csv(self, tmp_path, capsys):
@@ -160,7 +184,7 @@ class TestSweepCommand:
     def test_point_without_test_data_is_reported_and_sweep_goes_on(
         self, tmp_path, capsys
     ):
-        # At 10 rounds, seed 0, only the second point keeps a test round.
+        # At 10 rounds, seed 0, only the first point keeps a test round.
         out_path = tmp_path / "sweep.json"
         code, out, err = run_cli(
             capsys,
@@ -168,15 +192,36 @@ class TestSweepCommand:
             "--rounds", "10", "--out", str(out_path), "--format", "json",
         )
         assert code == EXIT_NO_TEST_DATA
-        assert "    0.250 no usable test data" in out
+        assert "    0.300 no usable test data" in out
         assert "    0.350 no usable test data" in out
         assert f"sweep written to {out_path}" in out
-        assert "no usable test data at eta_prime 0.250, 0.350" in err
+        assert "no usable test data at eta_prime 0.300, 0.350" in err
         rows = json.loads(out_path.read_text())
         assert [r["note"] for r in rows] == [
-            "no usable test data", "", "no usable test data"
+            "", "no usable test data", "no usable test data"
         ]
-        assert rows[1]["verdict"] is not None
+        assert rows[0]["verdict"] is not None
+
+    @pytest.mark.parametrize("values,key", [
+        ({"rounds": True}, "rounds"),
+        ({"rounds": 300.5}, "rounds"),
+        ({"seed": True}, "seed"),
+        ({"repetitions": 1.0}, "repetitions"),
+        ({"eta": "0.25"}, "eta"),
+        ({"eta": False}, "eta"),
+        ({"eta_primes": [0.3, True]}, "eta_prime"),
+        ({"eta_primes": ["0.3"]}, "eta_prime"),
+        ({"eta_primes": 0.3}, "eta_primes"),
+    ])
+    def test_config_file_values_are_not_coerced(self, tmp_path, capsys, values, key):
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text(
+            json.dumps({"rounds": 200, "eta_primes": "0.3", **values})
+        )
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config_path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith(f"error: {key}")
 
     def test_empty_grid_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--eta-prime-list", ",")

@@ -3,10 +3,17 @@
 For a fixed configuration and seed the simulator's output must not move.
 This pins, for each preset at 2000 rounds and seed 11, the sha256 of the
 exported JSONL transcript and of the pooled ``SessionTally`` serialised with
-sorted keys.  The digests were recorded at commit ``21b5c96`` and do not
-depend on ``PYTHONHASHSEED``.  The same digests are pinned for every
-(strategy, scheme) under every ordering and mode, since the announcement
-schedule branches on both.
+sorted keys.  The same digests are pinned for every (strategy, scheme) under
+every ordering and mode, since the announcement schedule branches on both.
+
+All digests were re-recorded, in one commit, when each round's randomness
+moved from its own numpy ``PCG64`` stream to its row of one ``Philox``
+uniform table per session.  That is the one planned stream change: it moves
+every sampled value, so every digest moved with it.  Before re-recording,
+all 36 cells were run at 100k rounds on both streams and every tally counter
+agreed under a Bonferroni-corrected two-proportion z-test (table in
+CHANGES.md).  The digests do not depend on ``PYTHONHASHSEED`` (checked with
+1 and 99).
 
 A change that alters the random streams on purpose updates these digests in
 the same commit and records the new values, and why they moved, in
@@ -28,40 +35,40 @@ GOLDEN_SEED = 11
 # preset -> (sha256 of the transcript JSONL, sha256 of the tally JSON)
 GOLDEN_DIGESTS = {
     "honest": (
-        "3f82f959aeb97fb88c75153575b2acabb698a03201e4a44a9b180e6e938beaba",
-        "3ec12d6b7f148f7af3ce28abc73656d908b565564a3888129dfeafb79e2a09f5",
+        "d3537637c25b43631f1765463d1e800a1a7f389b44fbf0220d4677800f3b30be",
+        "7403eb00a75824da6370fe77ee06709d1060e876aca0bd57e620dce5bb3a8b6e",
     ),
     "opaque-vulnerable": (
-        "597a579565be257f24e88c232e53f0ae097f89524634bb44bc91384b1fc2475f",
-        "1967f382840cb89e223559ed4e85fa600e2e4005c0adbf7a3c861129073b8710",
+        "bdc2e83d52388ce3b05717f923b57b3072912b2ab9b91193fb1a9df7edc6a806",
+        "111fa7acf429f76e15f9a814cb05e93079a018729fc8a3b12285229b4f869da8",
     ),
     "opaque-refined": (
-        "2f025c0e89b6d0d8bb0a4052e84eb7b0d6f0ce61535dc93c236aff4b0380fd16",
-        "1967f382840cb89e223559ed4e85fa600e2e4005c0adbf7a3c861129073b8710",
+        "3447f2507afb20c398846b5f86a234c9718c163bc78e56d1eba2ee85927d97b4",
+        "111fa7acf429f76e15f9a814cb05e93079a018729fc8a3b12285229b4f869da8",
     ),
     "opaque-no-cheat": (
-        "c2e18a88d46e85e5dbdda6f67784fee2f44d976982f9d7d14ecdd93f8516160a",
-        "184a403a76e28a6d04453934f3a152c581198943b07e350834d3cdf7c22db677",
+        "118a547d6d26270540be62bef11616d5bf867b17e4196d1bd5b7d83ade15c00c",
+        "bfd33be06bc55412e6f2761ad090aeb71c7f1ccf469ac0dd4425c7bb9d82f0f4",
     ),
     "opaque-sifting-classical": (
-        "36c87295adf03e2640a95357b17688161fb6550968c5e39465a5d1d3d0b8be9b",
-        "e20c99d41745762ddf8e53adf883bc0a65f410cd83e43be37a3fb0de121208f6",
+        "0c5f9524e042961e5717681d2687ad9c159b5a17e9d05fdaeec826569a590fef",
+        "bfe898eaddafb5ceeaa787fce956a95feaaaf925f39f8eae24bc6fa37b4af9e3",
     ),
     "opaque-sifting-state-sharing": (
-        "d4505dea00fbdf9052f66dda32f56411f6a6f4607199f2ab1fd5b1a3ebb6e1ff",
-        "2a6710fc53c61cc26791f2c25bc40a9388998f28ecfdd5ea77b7254875efb926",
+        "5f64bc73f0dfd67809b97448ab829dfff8df1ca04f43d5ae62d2fe0cf9d6bd93",
+        "fe83f96c0ee71336eed8b03f369d2ad79ccafe62e85c0e1339b7d28d217a3bb4",
     ),
     "early-bell": (
-        "0d7e4589fa497bd7a2a95440c939ff355b91bb5f97e661d042a2c631bd5b5c08",
-        "8fcc6b1d4ecb1f277ea531222a38c4e1adaa73eef50b8833d3e29e6520f9423a",
+        "e4add6a073540746b396db2502ce2d9399e4ce3725c13ca9215b245c387e6cd6",
+        "9b175a4dc6a3d47ba3ad317c699ca6b59e9111ef3e5fa44283666a4348163323",
     ),
     "hardened": (
-        "882fc9b6b5670f12155651ff2e875a78b3750987419e8e21b7b737e12bc5e869",
-        "c91c39a37dbfebc311a5bd5f8afeed22a245845994d0681bac14dcd2a6c853cb",
+        "a8f55e50d8967d264f78824647709960812b8add7d74c7324a5af1ce7e136700",
+        "f896696f1738d4fbbe06358eb65ae86cfa86b84f83bd20c1c9b52ad4dc008e63",
     ),
     "hbb": (
-        "3623fc47efd69535a5a184a3ad3934f6ea178fd6f7d05c77152ec57b5b5a15b9",
-        "84402472d78eaaabbbcbbbaf2fb776dc09f91c95d82b123460fd8c5cc24717ee",
+        "c30d659020347c60a0e26230aece4af5d51df063590d915fdcb40f09c779757c",
+        "1c7c341a840707a5ba4a093d0c79d0279078220d528b9ee84a6a46064ab440c3",
     ),
 }
 
@@ -78,116 +85,115 @@ GRID_PRESETS = (
 )
 
 # (preset, ordering, mode) -> digests as above, for every cell of
-# GRID_PRESETS x orderings x modes that no preset runs by default.  Recorded
-# at commit ``70c93ce``.
+# GRID_PRESETS x orderings x modes that no preset runs by default.
 GRID_DIGESTS = {
     ("honest", "vulnerable", "state-sharing"): (
-        "84d76634baa745afd7e67f5b0c9d5a8dc35b5a6a34a2b409ff42aeb6f326074e",
-        "f7200c070f080c6a81e7d428fa3667e321400753aa2db3878c139bd717e821e0",
+        "544b4662abc446ded3258e0cc77953438a89914c39d3fcc416104df5865d998b",
+        "37b66e03a73864c4a5976f1a4ccd0b24515c631e40a037179c229a005aa66558",
     ),
     ("honest", "refined", "classical"): (
-        "9d4abc44f4c9bad8269a5d3dc9f081060f4e625f1091e3d6f43bc1a8cc1c5f40",
-        "3ec12d6b7f148f7af3ce28abc73656d908b565564a3888129dfeafb79e2a09f5",
+        "cc96d1a0b084792c8b0330b310d256d09ec271d266a8e5b85471706e54f62273",
+        "7403eb00a75824da6370fe77ee06709d1060e876aca0bd57e620dce5bb3a8b6e",
     ),
     ("honest", "refined", "state-sharing"): (
-        "e41b5130548c9088dd63416a11620730d418584b0cb86e4eb06fbad9ace66197",
-        "f7200c070f080c6a81e7d428fa3667e321400753aa2db3878c139bd717e821e0",
+        "706d717fba3cc27a311e39ae1949e885dcfad94dc40b5e69f0327ff587909edb",
+        "37b66e03a73864c4a5976f1a4ccd0b24515c631e40a037179c229a005aa66558",
     ),
     ("honest", "sifting", "classical"): (
-        "49cf2b2a8c38a4f0c04d78c9984ec5c88ae8712119fe6ddcf3c9d8a5c091829e",
-        "3ec12d6b7f148f7af3ce28abc73656d908b565564a3888129dfeafb79e2a09f5",
+        "96f14513806946d98de79fba102c2d4e73ac561662cc49cd0a56da617425d184",
+        "7403eb00a75824da6370fe77ee06709d1060e876aca0bd57e620dce5bb3a8b6e",
     ),
     ("honest", "sifting", "state-sharing"): (
-        "5badfe7160c71190bcdd6f74ec1e57c4590252aa680b5dd9190c4a9f21e9a730",
-        "f7200c070f080c6a81e7d428fa3667e321400753aa2db3878c139bd717e821e0",
+        "66865a3dff681efa2987018fb7b1e70fe264df3ebc16df08dcd6cb9c7effe52c",
+        "37b66e03a73864c4a5976f1a4ccd0b24515c631e40a037179c229a005aa66558",
     ),
     ("opaque-vulnerable", "vulnerable", "state-sharing"): (
-        "2bf9dcb4709b06d55f7e34ac9c6b40a8cc0e92919fa9c7ed70b3bec270809c66",
-        "2a6710fc53c61cc26791f2c25bc40a9388998f28ecfdd5ea77b7254875efb926",
+        "bf19f7db19f58a54dce85cc00b8e3af0c6db2f190940dee17cf19fd1e105ce2d",
+        "fe83f96c0ee71336eed8b03f369d2ad79ccafe62e85c0e1339b7d28d217a3bb4",
     ),
     ("opaque-vulnerable", "refined", "state-sharing"): (
-        "40f10dc38e28f71455093de4ebec3b5f017184448c2d2a12ffb22b01eadb03c2",
-        "2a6710fc53c61cc26791f2c25bc40a9388998f28ecfdd5ea77b7254875efb926",
+        "e4ee8d6409ed12517eb403dda9d492b3ef879c31fae4a716afb5cc5463842290",
+        "fe83f96c0ee71336eed8b03f369d2ad79ccafe62e85c0e1339b7d28d217a3bb4",
     ),
     ("opaque-no-cheat", "vulnerable", "state-sharing"): (
-        "db38d1a7fb1654a0cd0818636bf8e5806fe72f8ad3be8ec121f4e821cc0ed9fd",
-        "5f86256670ae035f576f384750f91aa63426d96316b5ba547dbc14f6d5663bbb",
+        "db92dc8f83fbe11d28f8b308b6c155428936fc4a3696472ffa15ad3dbcd2d92b",
+        "6d8f8e5e441557b78be0de537036f87a005b7fcffe61fda7a98564051ba31aaa",
     ),
     ("opaque-no-cheat", "refined", "classical"): (
-        "b692d34e51186ad4cf0df6420b8bea30e189e25526e60945d7acffdef22228ed",
-        "184a403a76e28a6d04453934f3a152c581198943b07e350834d3cdf7c22db677",
+        "c354a3f9bfac9764773c532c804292df63108cd5fe1dbdcd14eaa727cd144968",
+        "bfd33be06bc55412e6f2761ad090aeb71c7f1ccf469ac0dd4425c7bb9d82f0f4",
     ),
     ("opaque-no-cheat", "refined", "state-sharing"): (
-        "05f705c486a4591eff2b86fe9fffdf1de890b2c8d08101a9368500723fcc65a1",
-        "5f86256670ae035f576f384750f91aa63426d96316b5ba547dbc14f6d5663bbb",
+        "eaab704ae300ec74009d01d62450c726ef2a37387e0598ae624653aa39bc3867",
+        "6d8f8e5e441557b78be0de537036f87a005b7fcffe61fda7a98564051ba31aaa",
     ),
     ("opaque-no-cheat", "sifting", "classical"): (
-        "3d34cb8220d3d3b115566515a1c041df772745497dc595fd4c0ea5bf9c6963a2",
-        "e20c99d41745762ddf8e53adf883bc0a65f410cd83e43be37a3fb0de121208f6",
+        "d51695761f0f703056577a3f9e2c35930a2dbbbdc47e88fb1c0567a1f920c653",
+        "bfe898eaddafb5ceeaa787fce956a95feaaaf925f39f8eae24bc6fa37b4af9e3",
     ),
     ("opaque-no-cheat", "sifting", "state-sharing"): (
-        "c7aba9f552cd5cd39d2d6ca17caf4aba52640003dbc0ddae6ab67d4eb0e94e15",
-        "5f86256670ae035f576f384750f91aa63426d96316b5ba547dbc14f6d5663bbb",
+        "c2821025245041cf9756a6e7a7a4e37011f872766d1ef54282e02fda17db03ed",
+        "6d8f8e5e441557b78be0de537036f87a005b7fcffe61fda7a98564051ba31aaa",
     ),
     ("early-bell", "vulnerable", "state-sharing"): (
-        "505e2b5f612911c9c20ef7aabf896d0fb38e2780a5b0d09eb4306e7d53e1ea1b",
-        "d321cd7351c672a7a05a0f0d33ebcdfae3e5ac2ed0b1e553cba902dfed52b945",
+        "ca2fae78dc57f714ae9f77c66686eb63c5dbdef69344fceedeabac7e01a9b6d2",
+        "82b6842b931837aec42580e62807d54c95fdc42e2fcb6b6c0b87108ad4e3bd3a",
     ),
     ("early-bell", "refined", "classical"): (
-        "271080a2a9f439f736af073b03625de15d5a152de1a08ac0344018c8c67a18c6",
-        "8fcc6b1d4ecb1f277ea531222a38c4e1adaa73eef50b8833d3e29e6520f9423a",
+        "1280b7143537341703abefab61de61e1fb42778510b1df479765d803a592442a",
+        "9b175a4dc6a3d47ba3ad317c699ca6b59e9111ef3e5fa44283666a4348163323",
     ),
     ("early-bell", "refined", "state-sharing"): (
-        "48d5b7465825180df7965fd3e7f24c880546cba3d91803aaae582fad38b04846",
-        "d321cd7351c672a7a05a0f0d33ebcdfae3e5ac2ed0b1e553cba902dfed52b945",
+        "a2aae97fb63c6afe48a049f6362deb6f37c21c7f97455cfd9ea29efa1ad7e82d",
+        "82b6842b931837aec42580e62807d54c95fdc42e2fcb6b6c0b87108ad4e3bd3a",
     ),
     ("early-bell", "sifting", "classical"): (
-        "d8a707f0afb9f158c11797d1c4b22b717533aa17511f1091ad2f7086266119d6",
-        "ffc87d0e90a28311015722b8e58c8269963e30522aefe0f8364ce62684427f9b",
+        "0b452fe1985e21d112aaf74540dee32fd04f1edcd45c1e46356c409494770220",
+        "280fd8e9ec0af6dd2d95b5da9a62012ff351c2aa0e9271aae22a045325c44e2b",
     ),
     ("early-bell", "sifting", "state-sharing"): (
-        "a87cc6b938083e9ee1b1b4bd2b2e28202f951b3c3f6daf336b6ddb5b0f60f092",
-        "d321cd7351c672a7a05a0f0d33ebcdfae3e5ac2ed0b1e553cba902dfed52b945",
+        "1e309ccfb0bfb0178d207decd73dd46ae3c0110d801b7fec9f7c6de12c3b34b2",
+        "82b6842b931837aec42580e62807d54c95fdc42e2fcb6b6c0b87108ad4e3bd3a",
     ),
     ("hardened", "vulnerable", "state-sharing"): (
-        "25ede1eebc006572bb341484cf1dba857156a2e537f87cd8071fdfe69cda58d0",
-        "73c5c8a68155a6a72526255b58dda9ae7eef430f35c046c630f3d03a75fe576e",
+        "f0be91fdbacf09f762bed48883df2defc2f502cc35648f3bd55ed983a0c93c2e",
+        "f4fedab8c719c5915c6c7962945dde104c4bf483a02b8d5b2764539cde62e17c",
     ),
     ("hardened", "refined", "classical"): (
-        "211565d38984b60f91538d0aa378ab2efe0305abfe2110a0148d16756012c60c",
-        "c91c39a37dbfebc311a5bd5f8afeed22a245845994d0681bac14dcd2a6c853cb",
+        "874c07e622a8b2909352a8cc3dadd20ad2792f72e504d55f9e06d51420e9ef8c",
+        "f896696f1738d4fbbe06358eb65ae86cfa86b84f83bd20c1c9b52ad4dc008e63",
     ),
     ("hardened", "refined", "state-sharing"): (
-        "5e0e710e52df39898f87aadecf4f7456a4547053a7d319b2427d395bfe4e66d0",
-        "73c5c8a68155a6a72526255b58dda9ae7eef430f35c046c630f3d03a75fe576e",
+        "4441733bc23d354f7f0d2d9c3344ca2eb120d79da31fbd75c977a35941156040",
+        "f4fedab8c719c5915c6c7962945dde104c4bf483a02b8d5b2764539cde62e17c",
     ),
     ("hardened", "sifting", "classical"): (
-        "8d43c207816d72c32d87c799972d7c6e19cb6c0c2fd35cde57691ed44400e07f",
-        "50ad9dcd456a85010f696884492fe9d039b940d3b0f6d4a252b27406d5230d30",
+        "f375090d0a0482cb643e29de395f0f8779777e7eae38d2d75ac18e9699a53343",
+        "632cd0b98714bd0169715e84f35e6c9a0658230f196c48b18414004da3325e03",
     ),
     ("hardened", "sifting", "state-sharing"): (
-        "58233f665a139e6b9b1cd3c9359b697483343873ec649733d8d7f1d57957b90b",
-        "73c5c8a68155a6a72526255b58dda9ae7eef430f35c046c630f3d03a75fe576e",
+        "aa13117db31a438a4989ab66655569c2a0069fde8e3b0b32cab6e83f194b7d8a",
+        "f4fedab8c719c5915c6c7962945dde104c4bf483a02b8d5b2764539cde62e17c",
     ),
     ("hbb", "vulnerable", "state-sharing"): (
-        "843c5dedf51908ec66db6034e0d572a60bb14000f08aa23052733143786cddc6",
-        "2936e1627e74f1a8b2a7fca1a62fa34f3f4a865ee092ae40dd028fbc47238691",
+        "74ea66b379c2e23bc07913d41ec94725327135002711429e2ea6d8b57afb0784",
+        "507599e2a79ad6d4be27850a0c2ce3f05665bd8da1e5cb4192cb71861da6cf60",
     ),
     ("hbb", "refined", "classical"): (
-        "5266b6da8189a00272c38333ec8fba0ad59c7cd442a532e036b0436379266654",
-        "84402472d78eaaabbbcbbbaf2fb776dc09f91c95d82b123460fd8c5cc24717ee",
+        "3a118ca34e62b0b3efc86ad584b2863a9e49f3e87bb25625cc5c8e8eb825fecf",
+        "1c7c341a840707a5ba4a093d0c79d0279078220d528b9ee84a6a46064ab440c3",
     ),
     ("hbb", "refined", "state-sharing"): (
-        "19671ed070e2c67094e1a37e2fba4667a045f203f8f072d27d249192dc9cd4f5",
-        "2936e1627e74f1a8b2a7fca1a62fa34f3f4a865ee092ae40dd028fbc47238691",
+        "0d6b356f33e8f1a2002e8add047ab4a6ad19aa52c25c579ffeb9e1e7b5471012",
+        "507599e2a79ad6d4be27850a0c2ce3f05665bd8da1e5cb4192cb71861da6cf60",
     ),
     ("hbb", "sifting", "classical"): (
-        "1dac3f01e81f3c2c9cdea152a3aa3d76d4bc003fee155eff1d22b36adbe883ff",
-        "84402472d78eaaabbbcbbbaf2fb776dc09f91c95d82b123460fd8c5cc24717ee",
+        "e07687c546bff764f136287d4953cd992c45478dbca68ac23bbee99225252517",
+        "1c7c341a840707a5ba4a093d0c79d0279078220d528b9ee84a6a46064ab440c3",
     ),
     ("hbb", "sifting", "state-sharing"): (
-        "b6028513103c3bd44a7bbc021c5d6bee7293e8a63d857943da8e5c4fd088a762",
-        "2936e1627e74f1a8b2a7fca1a62fa34f3f4a865ee092ae40dd028fbc47238691",
+        "e16abd92001e06ea583245d821f981738a413ec88761398b1ddcd90d025aeba4",
+        "507599e2a79ad6d4be27850a0c2ce3f05665bd8da1e5cb4192cb71861da6cf60",
     ),
 }
 

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import random
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from triqss.protocol import (
     RoundKind,
     Scheme,
     SessionConfig,
-    _pcg64_seed_states,
     _round_streams,
     distill_keys,
     export_transcript_jsonl,
@@ -28,9 +26,9 @@ from triqss.protocol import (
 )
 from triqss.adversary import AttackKind, AttackStrategy
 from triqss.conventions import correlated_bases
-from triqss.harness import preset_experiment
+from triqss.harness import preset_experiment, run_experiment
 from triqss.qcore import ATOL, overlap
-from test_golden import GOLDEN_DIGESTS, GOLDEN_ROUNDS, GOLDEN_SEED, _digests
+from test_golden import GOLDEN_SEED
 
 
 def honest_config(**overrides):
@@ -303,90 +301,36 @@ class TestTranscriptExport:
             assert seqs == sorted(seqs)
 
 
-class TestRoundGenerators:
-    """The bulk derivation reproduces numpy's per-round PCG64 streams exactly."""
+class TestRoundStreams:
+    """Round i reads row i of one Philox table, whatever the session length."""
 
-    # integers(k) bounds: 1 draws nothing, 2**31 + 1 makes the rejection
-    # loop run about every other call.
-    BOUNDS = (1, 2, 3, 4, 5, 7, 1000, 2**31 + 1)
-
-    EDGE_KEYS = (0, 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1, 2**96, 2**127, 2**128 - 1)
-
-    @staticmethod
-    def session_keys(seed, n):
-        words = np.random.SeedSequence(seed).generate_state(2 * n, dtype=np.uint64)
-        return [int(words[2 * i]) | (int(words[2 * i + 1]) << 64) for i in range(n)]
-
-    @staticmethod
-    def seed_states(keys):
-        entropy = np.array(
-            [[(key >> (32 * j)) & 0xFFFFFFFF for j in range(4)] for key in keys],
-            dtype=np.uint32,
-        )
-        return _pcg64_seed_states(entropy)
-
-    @pytest.mark.parametrize("seed", [0, 11, 2**40 + 3, 2**127 + 5])
-    def test_seed_words_match_seed_sequence(self, seed):
-        keys = self.session_keys(seed, 300)
-        for key, row in zip(keys, self.seed_states(keys)):
-            expected = np.random.SeedSequence(key).generate_state(4, np.uint64)
-            assert row.dtype == np.uint64
-            assert np.array_equal(row, expected), key
-
-    def test_edge_keys_match_seed_sequence(self):
-        states = self.seed_states(self.EDGE_KEYS)
-        for key, row in zip(self.EDGE_KEYS, states):
-            expected = np.random.SeedSequence(key).generate_state(4, np.uint64)
-            assert np.array_equal(row, expected), key
-
-    def test_generators_equal_per_round_pcg64(self):
-        seed, n = 11, 200
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_rows_are_philox_uniforms(self, n):
+        seed, width = 11, protocol._TABLE_WIDTH
+        raw = np.random.Philox(seed).random_raw((10, width))
         streams = _round_streams(seed, n)
-        for key, rng in zip(self.session_keys(seed, n), streams):
-            reference = np.random.Generator(np.random.PCG64(key))
-            assert [rng.random() for _ in range(3)] == reference.random(3).tolist()
-            assert [rng.integers(4) for _ in range(3)] == (
-                reference.integers(4, size=3).tolist()
-            )
+        for i in range(10):
+            expected = ((raw[i] >> 11) * 2.0**-53).tolist()
+            assert [streams[i].random() for _ in range(width)] == expected, i
 
-    @classmethod
-    def script(cls, index):
-        """40 calls, fixed per round index; the first three make the 32-bit
-        half-word buffer carry across a ``random()``."""
-        pick = random.Random(index)
-        calls = [4, None, 5]
-        calls += [
-            None if pick.random() < 0.4 else pick.choice(cls.BOUNDS) for _ in range(37)
-        ]
-        return calls
-
-    @pytest.mark.parametrize("seed", [0, 11, 2**40 + 3, 2**127 + 5])
-    def test_streams_match_generators_call_for_call(self, seed):
-        n = 200
-        streams = _round_streams(seed, n)
-        for index, (key, rng) in enumerate(zip(self.session_keys(seed, n), streams)):
-            reference = np.random.Generator(np.random.PCG64(key))
-            for call, k in enumerate(self.script(index)):
-                if k is None:
-                    got, want = rng.random(), reference.random()
-                else:
-                    got, want = rng.integers(k), int(reference.integers(k))
-                assert got == want, (seed, index, call, k)
-            # 40 calls read past the table into the round's own PCG64
-            assert rng._pcg is not None
-
-    def test_stream_rejects_bounds_outside_the_32_bit_path(self):
+    def test_integers_scale_the_next_uniform(self):
+        reference = _round_streams(3, 1)[0]
+        first, second = reference.random(), reference.random()
         rng = _round_streams(3, 1)[0]
-        for k in (0, -1, 2**32, 2**40):
-            with pytest.raises(ValueError):
-                rng.integers(k)
+        assert rng.integers(4) == int(first * 4)
+        assert rng.random() == second
 
-    def test_table_overflow_keeps_golden_output(self, monkeypatch, tmp_path):
-        # With a one-output table every round continues on its own PCG64.
-        monkeypatch.setattr(protocol, "_TABLE_WIDTH", 1)
-        name = "hardened"  # the preset with the most outputs per round
-        experiment = preset_experiment(name, rounds=GOLDEN_ROUNDS, seed=GOLDEN_SEED)
-        assert _digests(experiment, tmp_path / "t.jsonl") == GOLDEN_DIGESTS[name]
+    @pytest.mark.parametrize("ordering", ["refined", "sifting"])
+    def test_hardened_rounds_read_at_most_14_uniforms(self, monkeypatch, ordering):
+        experiment = preset_experiment(
+            "hardened", rounds=2000, seed=GOLDEN_SEED,
+            ordering=OrderingPolicy(ordering),
+        )
+        monkeypatch.setattr(protocol, "_TABLE_WIDTH", 14)
+        run_experiment(experiment)
+        monkeypatch.setattr(protocol, "_TABLE_WIDTH", 13)
+        with pytest.raises(RuntimeError, match=r"round \d+ read past its table row"):
+            run_experiment(experiment)
 
 
 def test_round_records_and_announcements_are_slotted():
