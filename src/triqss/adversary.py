@@ -29,17 +29,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .channel import ChannelConfig, loss_filter
+from .channel import ChannelConfig, _check_probability, loss_filter
 from .preparation import HardenedPrep
 from .qcore import (
     Basis,
     BellOutcome,
     BELL_ORDER,
+    PairBasis,
     PauliCorrection,
     RandomSource,
-    bell_basis_vectors,
     bell_state,
-    rotated_bell_basis_vectors,
 )
 from .registry import pick_basis
 
@@ -66,10 +65,12 @@ class AttackStrategy:
     cheating_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.attack_fraction is not None and not 0.0 <= self.attack_fraction <= 1.0:
-            raise ValueError(
-                f"attack_fraction must lie in [0, 1], got {self.attack_fraction}"
-            )
+        value = self.attack_fraction
+        if value is None:
+            return
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"attack_fraction must be a number, got {value!r}")
+        _check_probability("attack_fraction", value)
 
 
 PASSIVE = AttackStrategy(kind=AttackKind.PASSIVE)
@@ -163,9 +164,7 @@ class ActiveAdversary:
 
     def _early_bell(self, rec, rng: RandomSource) -> None:
         """Swap-or-drop right now, before any designation is known."""
-        result = rec.registry.measure_pair(
-            (FAKE_BOB, "C"), bell_basis_vectors(), rng
-        )
+        result = rec.registry.measure_pair((FAKE_BOB, "C"), PairBasis.BELL, rng)
         outcome = BELL_ORDER[result.index]
         rec.bell_outcome = outcome
         correction = _GOOD_OUTCOMES.get(outcome)
@@ -244,7 +243,7 @@ class ActiveAdversary:
         if isinstance(rec.preparation, HardenedPrep):
             self._hardened_test_answer(rec, rng, agent_bases)
             return
-        result = rec.registry.measure_pair((FAKE_BOB, "C"), bell_basis_vectors(), rng)
+        result = rec.registry.measure_pair((FAKE_BOB, "C"), PairBasis.BELL, rng)
         outcome = BELL_ORDER[result.index]
         rec.bell_outcome = outcome
         correction = _GOOD_OUTCOMES.get(outcome)
@@ -312,8 +311,8 @@ class ActiveAdversary:
         distinguishes them with certainty.  Raises ``KeyError`` when the
         pair is no longer held.
         """
-        vectors = bell_basis_vectors() if basis_class == 1 else rotated_bell_basis_vectors()
-        result = rec.registry.measure_pair(("B", "C"), vectors, rng)
+        basis = PairBasis.BELL if basis_class == 1 else PairBasis.ROTATED_BELL
+        result = rec.registry.measure_pair(("B", "C"), basis, rng)
         outcome = BELL_ORDER[result.index]
         if outcome is BellOutcome.PSI_PLUS:
             return 0

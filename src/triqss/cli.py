@@ -65,13 +65,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="report file format (default csv)")
 
 
+def _given(args: argparse.Namespace, *keys: str) -> dict:
+    """The values of ``keys`` set by a flag or by ``--config``; flags win.
+
+    Keys set by neither are left out, so the library's own defaults apply.
+    """
+    given = {key: args._config_data[key] for key in keys if key in args._config_data}
+    for key in keys:
+        if getattr(args, key, None) is not None:
+            given[key] = getattr(args, key)
+    return given
+
+
 def _merge(args: argparse.Namespace, key: str, fallback):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if getattr(args, "_config_data", None) and key in args._config_data:
-        return args._config_data[key]
-    return fallback
+    return _given(args, key).get(key, fallback)
 
 
 def _load_config_file(args: argparse.Namespace) -> None:
@@ -187,12 +194,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     mode = _merge(args, "mode", None)
     config = preset_experiment(
         _merge(args, "preset", "honest"),
-        eta=_merge(args, "eta", 0.3),
-        eta_prime=_merge(args, "eta_prime", 0.6),
-        rounds=_merge(args, "rounds", 20_000),
-        seed=_merge(args, "seed", 0),
-        repetitions=_merge(args, "repetitions", 1),
-        test_fraction=_merge(args, "test_fraction", 0.25),
+        **_given(args, "eta", "eta_prime", "rounds", "seed", "repetitions",
+                 "test_fraction"),
         ordering=OrderingPolicy(ordering) if ordering else None,
         mode=Mode(mode) if mode else None,
     )
@@ -217,19 +220,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _load_config_file(args)
-    raw = _merge(args, "eta_primes", "0.25,0.3,0.35,0.4,0.45,0.5")
-    if isinstance(raw, str):
-        raw = [float(v) for v in raw.split(",") if v.strip()]
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("eta_primes", "need a list of at least one efficiency")
-    values = tuple(raw)
-    rows = sweep_pe(
-        eta=_merge(args, "eta", 0.25),
-        eta_prime_values=values,
-        rounds=_merge(args, "rounds", 20_000),
-        seed=_merge(args, "seed", 0),
-        repetitions=_merge(args, "repetitions", 1),
-    )
+    given = _given(args, "eta", "rounds", "seed", "repetitions", "eta_primes")
+    if "eta_primes" in given:
+        raw = given.pop("eta_primes")
+        if isinstance(raw, str):
+            raw = [float(v) for v in raw.split(",") if v.strip()]
+        if not isinstance(raw, list) or not raw:
+            raise ConfigError("eta_primes", "need a list of at least one efficiency")
+        given["eta_prime_values"] = tuple(raw)
+    rows = sweep_pe(**given)
     header = (
         f"{'eta_prime':>9} {'formula_f':>9} {'measured_f':>10} "
         f"{'eff_bob':>8} {'eff_charlie':>11} {'verdict':>11}"

@@ -181,12 +181,6 @@ def generate_convention_table() -> dict:
     return table
 
 
-def save_convention_table(path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(generate_convention_table(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 @lru_cache(maxsize=1)
 def load_convention_table() -> dict:
     """The checked-in convention table artifact."""

@@ -6,6 +6,9 @@ All stochastic operations take an explicit ``RandomSource``: numpy's
 ``random()`` and ``integers(k)``, from a session's per-round stream or a
 ``numpy.random.Generator``, so a fixed seed reproduces the same trajectory.
 
+Joint two-qubit measurements take a ``PairBasis`` member: the Bell basis or
+its rotated twin, the only two bases the protocol measures pairs in.
+
 A session revisits the same few states thousands of times, so the sampled
 kernels (``measure_qubit``, ``measure_two_qubit_basis`` and
 ``apply_correction``) are memoized on the state's labels and amplitude bytes.
@@ -177,6 +180,36 @@ ROTATION_SECOND_PHOTON = np.array([[_SQ2, _SQ2], [-_SQ2, _SQ2]], dtype=complex)
 ROTATION_SECOND_PHOTON.setflags(write=False)
 
 
+class PairBasis(Enum):
+    """Orthonormal basis of a joint two-qubit measurement.
+
+    Row ``k`` of ``vectors`` is Bell outcome ``BELL_ORDER[k]``, conjugated by
+    the second-photon rotation for ``ROTATED_BELL``: there row 2 is the
+    bit-0 rotated signal state (rotated ``psi+``) and row 1 the bit-1 one.
+    """
+
+    BELL = "bell"
+    ROTATED_BELL = "rotated-bell"
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """Read-only (4, 4) array of the outcome vectors, one per row."""
+        return _PAIR_BASIS_VECTORS[self]
+
+
+_PAIR_BASIS_VECTORS: dict[PairBasis, np.ndarray] = {
+    PairBasis.BELL: np.stack([outcome.vector for outcome in BELL_ORDER]),
+    PairBasis.ROTATED_BELL: np.stack(
+        [
+            (outcome.vector.reshape(2, 2) @ ROTATION_SECOND_PHOTON.T).reshape(-1)
+            for outcome in BELL_ORDER
+        ]
+    ),
+}
+for _vecs in _PAIR_BASIS_VECTORS.values():
+    _vecs.setflags(write=False)
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Immutable pure state over 1 to 3 labeled qubits.
@@ -273,11 +306,6 @@ class PairMeasurement:
     post_state: StateVector | None
 
 
-def qubit_state(alpha: complex, beta: complex, label: str = "Q") -> StateVector:
-    """Single-qubit state ``alpha|0> + beta|1>`` (must be normalized)."""
-    return StateVector((label,), np.array([alpha, beta], dtype=complex))
-
-
 def basis_ket(basis: Basis, outcome: int, label: str = "Q") -> StateVector:
     """Eigenstate of ``basis`` with eigenvalue ``outcome`` (+1 or -1)."""
     if outcome not in (+1, -1):
@@ -322,26 +350,6 @@ def _cached_ghz_state(labels: tuple[str, str, str]) -> StateVector:
     amps[0] = _SQ2
     amps[7] = _SQ2
     return StateVector(labels, amps)
-
-
-def custom_state(labels: tuple[str, ...], amplitudes) -> StateVector:
-    """Normalize an explicit amplitude vector into a StateVector.
-
-    Raises ``ValueError`` when the vector cannot be normalized (norm below
-    ``1e-12``) or the length does not match the label count.
-    """
-    amps = np.asarray(amplitudes, dtype=complex)
-    norm = float(np.linalg.norm(amps))
-    if norm < 1e-12:
-        raise ValueError("amplitude vector has (near-)zero norm, cannot normalize")
-    return StateVector(tuple(labels), amps / norm)
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product; label sets must be disjoint, total size at most 3."""
-    if set(a.labels) & set(b.labels):
-        raise ValueError(f"overlapping labels: {a.labels!r} and {b.labels!r}")
-    return StateVector(a.labels + b.labels, np.kron(a.amplitudes, b.amplitudes))
 
 
 def overlap(a: StateVector, b: StateVector) -> float:
@@ -441,11 +449,7 @@ def _pair_residual(
     ax1 = state.axis(pair[0])
     ax2 = state.axis(pair[1])
     v = np.conjugate(vec4)
-    if state.num_qubits == 2:
-        if ax1 == 0:
-            return v[0] * view[0, 0] + v[1] * view[0, 1] + v[2] * view[1, 0] + v[3] * view[1, 1]
-        return v[0] * view[0, 0] + v[1] * view[1, 0] + v[2] * view[0, 1] + v[3] * view[1, 1]
-    idx = [slice(None)] * 3
+    idx = [slice(None)] * state.num_qubits
     out = None
     for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         idx[ax1] = i
@@ -453,24 +457,6 @@ def _pair_residual(
         term = v[k] * view[tuple(idx)]
         out = term if out is None else out + term
     return out
-
-
-def project_pair(
-    state: StateVector, pair: tuple[str, str], vec4: np.ndarray
-) -> tuple[float, StateVector | None]:
-    """Project two qubits jointly onto a 4-amplitude vector.
-
-    ``vec4`` is ordered with ``pair[0]`` as the most significant bit.
-    """
-    vec = np.asarray(vec4, dtype=complex).reshape(4)
-    residual = _pair_residual(state, pair, vec)
-    prob = _clamp_probability(float(np.vdot(residual, residual).real))
-    if prob == 0.0:
-        return 0.0, None
-    rest = tuple(l for l in state.labels if l not in pair)
-    if not rest:
-        return prob, None
-    return prob, StateVector._trusted(rest, (residual / np.sqrt(prob)).reshape(-1))
 
 
 def measure_qubit(
@@ -502,18 +488,10 @@ def _qubit_kernel(
     state: StateVector, label: str, basis: Basis
 ) -> tuple[Measurement, Measurement]:
     """The +1 and -1 branches of a single-qubit measurement."""
-    rest = tuple(l for l in state.labels if l != label)
-    branches = []
-    for outcome, ket in zip((+1, -1), basis.eigenvectors):
-        residual = _qubit_residual(state, label, ket)
-        prob = _clamp_probability(float(np.vdot(residual, residual).real))
-        post = (
-            StateVector._trusted(rest, (residual / np.sqrt(prob)).reshape(-1))
-            if rest and prob > 0.0
-            else None
-        )
-        branches.append(Measurement(outcome, prob, post))
-    return tuple(branches)
+    return tuple(
+        Measurement(outcome, *project_qubit(state, label, ket))
+        for outcome, ket in zip((+1, -1), basis.eigenvectors)
+    )
 
 
 # The four outcomes of a joint measurement and the running sums of their
@@ -524,41 +502,33 @@ _PairBranches = tuple[tuple[PairMeasurement, ...], tuple[float, ...]]
 def measure_two_qubit_basis(
     state: StateVector,
     pair: tuple[str, str],
-    basis_vectors: np.ndarray,
+    basis: PairBasis,
     rng: RandomSource,
 ) -> PairMeasurement:
-    """Joint measurement of two qubits in an orthonormal four-vector basis.
+    """Joint measurement of two qubits in a ``PairBasis``.
 
-    ``basis_vectors`` is a (4, 4) array whose rows are the candidate outcome
-    vectors, ordered with ``pair[0]`` as the most significant bit.  Raises
-    ``ValueError`` if the rows are not orthonormal within ``ATOL``.
+    Outcome ``k`` is row ``k`` of ``basis.vectors``, ordered with ``pair[0]``
+    as the most significant bit.  The basis is part of the memo key, so an
+    array in its place raises ``TypeError`` (unhashable).
     """
-    basis_id = _canonical_pair_basis_id(basis_vectors)
-    if basis_id is None:
-        branches = _pair_kernel(state, pair, _checked_pair_basis(basis_vectors))
-    else:
-        branches = _pair_branches(
-            state.labels, state.amplitudes.tobytes(), pair, basis_id
-        )
+    branches = _pair_branches(state.labels, state.amplitudes.tobytes(), pair, basis)
     return _draw_pair_branch(branches, rng)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _pair_branches(
-    labels: tuple[str, ...], amplitudes: bytes, pair: tuple[str, str], basis_id: int
+    labels: tuple[str, ...], amplitudes: bytes, pair: tuple[str, str], basis: PairBasis
 ) -> _PairBranches:
-    return _pair_kernel(
-        _state_from_bytes(labels, amplitudes), pair, _CANONICAL_PAIR_BASES[basis_id]
-    )
+    return _pair_kernel(_state_from_bytes(labels, amplitudes), pair, basis)
 
 
 def _pair_kernel(
-    state: StateVector, pair: tuple[str, str], vecs: np.ndarray
+    state: StateVector, pair: tuple[str, str], basis: PairBasis
 ) -> _PairBranches:
     """All four branches of a joint two-qubit measurement on one state."""
     rest = tuple(l for l in state.labels if l not in pair)
     return _branches_from_residuals(
-        (_pair_residual(state, pair, vecs[k]) for k in range(4)), rest
+        (_pair_residual(state, pair, vec) for vec in basis.vectors), rest
     )
 
 
@@ -598,49 +568,3 @@ def _draw_pair_branch(
             f"probabilities sum to {cumulative[k]}, state not normalized"
         )
     return results[k]
-
-
-def _canonical_pair_basis_id(basis_vectors: np.ndarray) -> int | None:
-    """Position of a canonical basis array (matched by identity), else None."""
-    for i, vecs in enumerate(_CANONICAL_PAIR_BASES):
-        if basis_vectors is vecs:
-            return i
-    return None
-
-
-def _checked_pair_basis(basis_vectors: np.ndarray) -> np.ndarray:
-    """Validate a (4, 4) orthonormal basis array."""
-    vecs = np.asarray(basis_vectors, dtype=complex)
-    if vecs.shape != (4, 4):
-        raise ValueError(f"expected a (4, 4) basis array, got {vecs.shape}")
-    gram = vecs @ vecs.conj().T
-    if not np.allclose(gram, np.eye(4), atol=ATOL):
-        raise ValueError("basis vectors are not orthonormal")
-    return vecs
-
-
-_BELL_BASIS = np.stack([outcome.vector for outcome in BELL_ORDER])
-_BELL_BASIS.setflags(write=False)
-_ROTATED_BELL_BASIS = np.stack(
-    [
-        (outcome.vector.reshape(2, 2) @ ROTATION_SECOND_PHOTON.T).reshape(-1)
-        for outcome in BELL_ORDER
-    ]
-)
-_ROTATED_BELL_BASIS.setflags(write=False)
-_CANONICAL_PAIR_BASES = (_BELL_BASIS, _ROTATED_BELL_BASIS)
-
-
-def bell_basis_vectors() -> np.ndarray:
-    """Read-only (4, 4) array of the Bell vectors in ``BELL_ORDER`` row order."""
-    return _BELL_BASIS
-
-
-def rotated_bell_basis_vectors() -> np.ndarray:
-    """Bell basis conjugated by the second-photon rotation (read-only).
-
-    Row order follows ``BELL_ORDER`` of the underlying plain Bell states, so
-    row 2 is the rotated ``psi+`` (the bit-0 rotated signal state) and row 1
-    the rotated ``phi-`` (the bit-1 rotated signal state).
-    """
-    return _ROTATED_BELL_BASIS

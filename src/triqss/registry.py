@@ -6,6 +6,8 @@ tracks those factors by qubit label, merges them only through joint
 measurements, and never materializes more than three qubits in one factor:
 a joint measurement whose targets live in two different factors is contracted
 directly, which is exactly the Born rule on the (implicit) product state.
+Joint measurements take a ``qcore.PairBasis`` member, the Bell basis or its
+rotated twin.
 
 Lost photons are erased by secretly measuring them in Z and discarding the
 outcome.  For every statistic visible to the remaining parties this is
@@ -19,18 +21,16 @@ from functools import lru_cache
 import numpy as np
 
 from .qcore import (
-    _CANONICAL_PAIR_BASES,
     _MEMO_SIZE,
     Basis,
     Measurement,
+    PairBasis,
     PairMeasurement,
     PauliCorrection,
     RandomSource,
     StateVector,
     _PairBranches,
     _branches_from_residuals,
-    _canonical_pair_basis_id,
-    _checked_pair_basis,
     _draw_pair_branch,
     _state_from_bytes,
     apply_correction,
@@ -70,12 +70,6 @@ class PhotonRegistry:
             if label in f.labels:
                 return True
         return False
-
-    def factor_of(self, label: str) -> StateVector:
-        for f in self._factors:
-            if label in f.labels:
-                return f
-        raise KeyError(f"no photon labeled {label!r}")
 
     def joint_state(self, labels: tuple[str, ...]) -> StateVector | None:
         """The factor covering exactly ``labels``, axis-aligned, else None.
@@ -118,25 +112,26 @@ class PhotonRegistry:
     def measure_pair(
         self,
         pair: tuple[str, str],
-        basis_vectors: np.ndarray,
+        basis: PairBasis,
         rng: RandomSource,
     ) -> PairMeasurement:
-        """Joint two-photon measurement; both photons are removed.
+        """Joint two-photon measurement in ``basis``; both photons are removed.
 
         The photons may live in one factor or in two distinct factors; in the
         latter case the factors are contracted against each candidate vector
-        without building their tensor product.
+        without building their tensor product.  An array in place of the
+        basis raises ``TypeError`` before anything changes.
         """
         i1 = self._index_of(pair[0])
         i2 = self._index_of(pair[1])
         if i1 == i2:
-            result = measure_two_qubit_basis(self._factors[i1], pair, basis_vectors, rng)
+            result = measure_two_qubit_basis(self._factors[i1], pair, basis, rng)
             if result.post_state is None:
                 del self._factors[i1]
             else:
                 self._factors[i1] = result.post_state
             return result
-        result = self._measure_pair_across(i1, i2, pair, basis_vectors, rng)
+        result = self._measure_pair_across(i1, i2, pair, basis, rng)
         for idx in sorted((i1, i2), reverse=True):
             del self._factors[idx]
         if result.post_state is not None:
@@ -158,20 +153,16 @@ class PhotonRegistry:
         i1: int,
         i2: int,
         pair: tuple[str, str],
-        basis_vectors: np.ndarray,
+        basis: PairBasis,
         rng: RandomSource,
     ) -> PairMeasurement:
         f1 = self._factors[i1]
         f2 = self._factors[i2]
-        basis_id = _canonical_pair_basis_id(basis_vectors)
-        if basis_id is None:
-            branches = _across_kernel(f1, f2, pair, _checked_pair_basis(basis_vectors))
-        else:
-            branches = _across_branches(
-                f1.labels, f1.amplitudes.tobytes(),
-                f2.labels, f2.amplitudes.tobytes(),
-                pair, basis_id,
-            )
+        branches = _across_branches(
+            f1.labels, f1.amplitudes.tobytes(),
+            f2.labels, f2.amplitudes.tobytes(),
+            pair, basis,
+        )
         return _draw_pair_branch(branches, rng)
 
 
@@ -182,18 +173,18 @@ def _across_branches(
     labels2: tuple[str, ...],
     amplitudes2: bytes,
     pair: tuple[str, str],
-    basis_id: int,
+    basis: PairBasis,
 ) -> _PairBranches:
     return _across_kernel(
         _state_from_bytes(labels1, amplitudes1),
         _state_from_bytes(labels2, amplitudes2),
         pair,
-        _CANONICAL_PAIR_BASES[basis_id],
+        basis,
     )
 
 
 def _across_kernel(
-    f1: StateVector, f2: StateVector, pair: tuple[str, str], vecs: np.ndarray
+    f1: StateVector, f2: StateVector, pair: tuple[str, str], basis: PairBasis
 ) -> _PairBranches:
     """Branches of a joint measurement across two factors.
 
@@ -213,4 +204,4 @@ def _across_kernel(
         out += np.multiply.outer(t1[1], v[2] * t2[0] + v[3] * t2[1])
         return out
 
-    return _branches_from_residuals((residual(vecs[k].conj()) for k in range(4)), rest)
+    return _branches_from_residuals((residual(vec.conj()) for vec in basis.vectors), rest)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from triqss.adversary import AttackStrategy
-from triqss.channel import ChannelConfig
 from triqss.conventions import (
     Scheme,
     convention_bit,
@@ -32,13 +31,14 @@ from triqss.preparation import hbb_reduce
 from triqss.protocol import OrderingPolicy, RoundKind
 from triqss.qcore import (
     Basis,
-    custom_state,
     ghz_state,
     measure_qubit,
     project_qubit,
     signal_state,
 )
 from triqss.stats import ratio
+
+from helpers import custom_state
 
 SQ2 = 1.0 / np.sqrt(2.0)
 

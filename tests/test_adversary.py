@@ -53,6 +53,11 @@ class TestStrategy:
         with pytest.raises(ValueError, match="attack_fraction"):
             AttackStrategy(attack_fraction=-0.1)
 
+    @pytest.mark.parametrize("value", [True, False, "0.5"])
+    def test_fraction_must_be_a_number(self, value):
+        with pytest.raises(ValueError, match="attack_fraction must be a number"):
+            AttackStrategy(attack_fraction=value)
+
     def test_passive_constant(self):
         assert PASSIVE.kind is AttackKind.PASSIVE
 

@@ -6,7 +6,8 @@ once and keep it.  The reference functions below are the loop versions they
 replaced, which compute only the branch the uniform selects.  Both are driven
 with the same fixed uniforms, placed on and just below every boundary of the
 cumulative Born probabilities, so every reachable branch is compared: outcome,
-probability and post-state amplitudes, byte for byte.
+probability and post-state amplitudes, byte for byte.  Joint measurements are
+compared in both ``PairBasis`` bases, within one factor and across two.
 """
 
 import numpy as np
@@ -17,26 +18,22 @@ from triqss.harness import PRESET_NAMES, preset_experiment, run_experiment
 from triqss.qcore import (
     Basis,
     Measurement,
+    PairBasis,
     PairMeasurement,
     PauliCorrection,
     StateVector,
     ZERO_PROB,
-    _checked_pair_basis,
     _clamp_probability,
     _pair_residual,
     _qubit_residual,
     apply_correction,
     apply_unitary,
-    bell_basis_vectors,
-    custom_state,
     measure_qubit,
     measure_two_qubit_basis,
-    rotated_bell_basis_vectors,
-    signal_state,
 )
 from triqss.registry import PhotonRegistry
 
-CANONICAL = (bell_basis_vectors(), rotated_bell_basis_vectors())
+from helpers import custom_state
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +63,8 @@ def reference_measure_qubit(state, label, basis, rng):
     return Measurement(outcome, prob, post)
 
 
-def reference_measure_two_qubit_basis(state, pair, basis_vectors, rng):
-    vecs = basis_vectors if any(basis_vectors is c for c in CANONICAL) else (
-        _checked_pair_basis(basis_vectors)
-    )
+def reference_measure_two_qubit_basis(state, pair, basis, rng):
+    vecs = basis.vectors
     u = rng.random()
     acc = 0.0
     for k in range(4):
@@ -90,7 +85,8 @@ def reference_measure_two_qubit_basis(state, pair, basis_vectors, rng):
     return PairMeasurement(index, prob, post)
 
 
-def reference_measure_pair_across(f1, f2, pair, vecs, rng):
+def reference_measure_pair_across(f1, f2, pair, basis, rng):
+    vecs = basis.vectors
     t1 = np.moveaxis(f1.tensor_view(), f1.axis(pair[0]), 0)
     t2 = np.moveaxis(f2.tensor_view(), f2.axis(pair[1]), 0)
     rest = tuple(l for l in f1.labels if l != pair[0]) + tuple(
@@ -182,27 +178,27 @@ def check_qubit(state, label, basis):
         assert_same(measure_qubit(state, label, basis, FixedUniform(u)), reference(u))
 
 
-def check_pair(state, pair, vecs):
+def check_pair(state, pair, basis):
     def reference(u):
-        return reference_measure_two_qubit_basis(state, pair, vecs, FixedUniform(u))
+        return reference_measure_two_qubit_basis(state, pair, basis, FixedUniform(u))
 
-    _, cumulative = qcore._pair_kernel(state, pair, _checked_pair_basis(vecs.copy()))
+    _, cumulative = qcore._pair_kernel(state, pair, basis)
     for u in probes([*cumulative, *walk_boundaries(reference)]):
-        result = measure_two_qubit_basis(state, pair, vecs, FixedUniform(u))
+        result = measure_two_qubit_basis(state, pair, basis, FixedUniform(u))
         assert_same(result, reference(u))
 
 
-def check_across(f1, f2, pair, vecs):
+def check_across(f1, f2, pair, basis):
     reg = PhotonRegistry()
     reg.add(f1)
     reg.add(f2)
 
     def reference(u):
-        return reference_measure_pair_across(f1, f2, pair, vecs, FixedUniform(u))
+        return reference_measure_pair_across(f1, f2, pair, basis, FixedUniform(u))
 
-    _, cumulative = registry._across_kernel(f1, f2, pair, vecs)
+    _, cumulative = registry._across_kernel(f1, f2, pair, basis)
     for u in probes([*cumulative, *walk_boundaries(reference)]):
-        result = reg._measure_pair_across(0, 1, pair, vecs, FixedUniform(u))
+        result = reg._measure_pair_across(0, 1, pair, basis, FixedUniform(u))
         assert_same(result, reference(u))
 
 
@@ -251,14 +247,14 @@ def test_every_entry_after_all_presets_equals_the_loop_kernels(monkeypatch):
         assert info.currsize == info.misses == len(seen[name]) > 0, name
     for state, label, basis in seen["_qubit_kernel"]:
         check_qubit(state_of(state.labels, state.amplitudes.tobytes()), label, basis)
-    for state, pair, vecs in seen["_pair_kernel"]:
-        check_pair(state_of(state.labels, state.amplitudes.tobytes()), pair, vecs)
-    for f1, f2, pair, vecs in seen["_across_kernel"]:
+    for state, pair, basis in seen["_pair_kernel"]:
+        check_pair(state_of(state.labels, state.amplitudes.tobytes()), pair, basis)
+    for f1, f2, pair, basis in seen["_across_kernel"]:
         check_across(
             state_of(f1.labels, f1.amplitudes.tobytes()),
             state_of(f2.labels, f2.amplitudes.tobytes()),
             pair,
-            vecs,
+            basis,
         )
     for state, label, matrix in seen["apply_unitary"]:
         correction = next(c for c in PauliCorrection if c.matrix is matrix)
@@ -297,9 +293,8 @@ def test_random_states_equal_the_loop_kernels(labels):
             for correction in PauliCorrection:
                 check_correction(state, label, correction)
         for pair in ((a, b) for a in labels for b in labels if a != b):
-            for vecs in CANONICAL:
-                check_pair(state, pair, vecs)
-            check_pair(state, pair, np.array(CANONICAL[0]))
+            for basis in PairBasis:
+                check_pair(state, pair, basis)
 
 
 def test_random_factor_pairs_equal_the_loop_kernel():
@@ -311,8 +306,8 @@ def test_random_factor_pairs_equal_the_loop_kernel():
                 custom_state(ls, random_amplitudes(rng, ls, draw))
                 for ls in (labels1, labels2)
             )
-            for vecs in CANONICAL:
-                check_across(f1, f2, ("A", "B"), vecs)
+            for basis in PairBasis:
+                check_across(f1, f2, ("A", "B"), basis)
 
 
 def test_unnormalized_state_still_raises_on_the_draw_path():
@@ -320,36 +315,44 @@ def test_unnormalized_state_still_raises_on_the_draw_path():
     assert measure_qubit(half, "A", Basis.Z, FixedUniform(0.1)).outcome == +1
     with pytest.raises(AssertionError, match="not normalized"):
         measure_qubit(half, "A", Basis.Z, FixedUniform(0.9))
-    assert measure_two_qubit_basis(half, ("A", "B"), CANONICAL[0], FixedUniform(0.1))
+    bell = PairBasis.BELL
+    assert measure_two_qubit_basis(half, ("A", "B"), bell, FixedUniform(0.1))
     with pytest.raises(AssertionError, match="not normalized"):
-        measure_two_qubit_basis(half, ("A", "B"), CANONICAL[0], FixedUniform(0.9))
+        measure_two_qubit_basis(half, ("A", "B"), bell, FixedUniform(0.9))
 
 
 class TestNonCanonicalBasis:
+    """Joint measurements take a ``PairBasis`` member, never a raw array.
+
+    An array is refused on every call, even one equal to a member's rows,
+    and a refused cross-factor call leaves both photons registered.
+    """
+
     BAD = np.eye(4, dtype=complex) * np.array([1, 1, 1, 2])
 
     def test_rejected_on_every_call(self):
-        state = signal_state(qcore.SignalTag.PSI_PLUS, ("B", "C"))
-        rng = np.random.default_rng(3)
-        good = np.array(CANONICAL[0])
+        state = qcore.signal_state(qcore.SignalTag.PSI_PLUS, ("B", "C"))
         for _ in range(3):
-            measure_two_qubit_basis(state, ("B", "C"), CANONICAL[0], rng)
-            measure_two_qubit_basis(state, ("B", "C"), good, rng)
-            with pytest.raises(ValueError, match="not orthonormal"):
-                measure_two_qubit_basis(state, ("B", "C"), self.BAD, rng)
+            for basis in PairBasis:
+                measure_two_qubit_basis(state, ("B", "C"), basis, FixedUniform(0.5))
+                for array in (np.array(basis.vectors), self.BAD):
+                    with pytest.raises(TypeError, match="unhashable"):
+                        measure_two_qubit_basis(
+                            state, ("B", "C"), array, FixedUniform(0.5)
+                        )
 
     def test_rejected_on_every_call_across_factors(self):
-        rng = np.random.default_rng(5)
         f1 = custom_state(("A",), [0.6, 0.8])
         f2 = custom_state(("B",), [0.8, -0.6j])
-        for vecs in (CANONICAL[0], np.array(CANONICAL[1])):
+        for basis in PairBasis:
             reg = PhotonRegistry()
             reg.add(f1)
             reg.add(f2)
-            reg.measure_pair(("A", "B"), vecs, rng)
-            reg = PhotonRegistry()
-            reg.add(f1)
-            reg.add(f2)
-            with pytest.raises(ValueError, match="not orthonormal"):
-                reg.measure_pair(("A", "B"), self.BAD, rng)
-            assert reg.has("A") and reg.has("B")
+            reg.measure_pair(("A", "B"), basis, FixedUniform(0.5))
+            for array in (np.array(basis.vectors), self.BAD):
+                reg = PhotonRegistry()
+                reg.add(f1)
+                reg.add(f2)
+                with pytest.raises(TypeError, match="unhashable"):
+                    reg.measure_pair(("A", "B"), array, FixedUniform(0.5))
+                assert reg.has("A") and reg.has("B")

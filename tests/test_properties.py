@@ -5,14 +5,13 @@ import pytest
 
 from triqss.qcore import (
     Basis,
-    bell_basis_vectors,
-    custom_state,
+    PairBasis,
     measure_qubit,
     measure_two_qubit_basis,
-    project_pair,
     project_qubit,
-    rotated_bell_basis_vectors,
 )
+
+from helpers import custom_state, project_pair
 
 LABEL_SETS = (("Q",), ("B", "C"), ("A", "B", "C"))
 
@@ -92,18 +91,18 @@ class TestRandomizedInvariants:
 
     def test_pair_measurement_matches_pair_projector(self):
         rng = np.random.default_rng(113)
-        bases = (bell_basis_vectors(), rotated_bell_basis_vectors())
+        bases = tuple(PairBasis)
         for _ in range(300):
             labels = LABEL_SETS[1 + int(rng.integers(2))]
             state = random_state(rng, labels)
             pair = tuple(
                 np.array(labels)[rng.permutation(len(labels))][:2]
             )
-            vecs = bases[int(rng.integers(2))]
-            total = sum(project_pair(state, pair, v)[0] for v in vecs)
+            basis = bases[int(rng.integers(2))]
+            total = sum(project_pair(state, pair, v)[0] for v in basis.vectors)
             assert total == pytest.approx(1.0, abs=1e-9)
-            result = measure_two_qubit_basis(state, pair, vecs, rng)
-            prob, _ = project_pair(state, pair, vecs[result.index])
+            result = measure_two_qubit_basis(state, pair, basis, rng)
+            prob, _ = project_pair(state, pair, basis.vectors[result.index])
             assert result.probability == pytest.approx(prob, abs=1e-9)
 
     def test_axis_order_does_not_change_statistics(self):

@@ -10,26 +10,24 @@ from triqss.qcore import (
     SIGNAL_ORDER,
     Basis,
     BellOutcome,
+    PairBasis,
     PauliCorrection,
     SignalTag,
     StateVector,
     apply_correction,
     apply_unitary,
     basis_ket,
-    bell_basis_vectors,
     bell_state,
-    custom_state,
     ghz_state,
     measure_qubit,
     measure_two_qubit_basis,
     overlap,
-    project_pair,
     project_qubit,
-    qubit_state,
-    rotated_bell_basis_vectors,
     signal_state,
-    tensor,
 )
+from triqss.registry import PhotonRegistry
+
+from helpers import custom_state, project_pair, qubit_state, tensor
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -332,10 +330,9 @@ class TestSampledMeasurements:
 
     def test_measure_pair_is_deterministic_on_basis_states(self):
         rng = np.random.default_rng(23)
-        vecs = bell_basis_vectors()
         for idx, kind in enumerate(BELL_ORDER):
             state = bell_state(kind, ("B", "C"))
-            result = measure_two_qubit_basis(state, ("B", "C"), vecs, rng)
+            result = measure_two_qubit_basis(state, ("B", "C"), PairBasis.BELL, rng)
             assert result.index == idx
             assert result.probability == pytest.approx(1.0, abs=ATOL)
             assert result.post_state is None
@@ -345,7 +342,7 @@ class TestSampledMeasurements:
         counts = np.zeros(4)
         for _ in range(2000):
             result = measure_two_qubit_basis(
-                ghz_state(("A", "B", "C")), ("B", "C"), bell_basis_vectors(), rng
+                ghz_state(("A", "B", "C")), ("B", "C"), PairBasis.BELL, rng
             )
             counts[result.index] += 1
             assert result.post_state.labels == ("A",)
@@ -356,32 +353,37 @@ class TestSampledMeasurements:
         assert counts[3] == 0
 
     def test_measure_pair_rejects_bad_basis(self):
+        # Only a PairBasis member names a joint measurement: a raw array,
+        # well formed or not, is refused, and the registry keeps both photons.
         rng = np.random.default_rng(1)
         state = bell_state(BellOutcome.PHI_PLUS, ("B", "C"))
         bad = np.eye(4)
         bad[0, 1] = 1.0
-        with pytest.raises(ValueError, match="orthonormal"):
-            measure_two_qubit_basis(state, ("B", "C"), bad, rng)
-        with pytest.raises(ValueError, match="basis array"):
-            measure_two_qubit_basis(state, ("B", "C"), np.eye(3), rng)
+        for array in (bad, np.eye(3), np.array(PairBasis.BELL.vectors)):
+            with pytest.raises(TypeError, match="unhashable"):
+                measure_two_qubit_basis(state, ("B", "C"), array, rng)
+        reg = PhotonRegistry()
+        reg.add(state)
+        with pytest.raises(TypeError, match="unhashable"):
+            reg.measure_pair(("B", "C"), bad, rng)
+        assert reg.has("B") and reg.has("C")
 
 
 class TestMeasurementBases:
     def test_bell_basis_rows_follow_bell_order(self):
-        vecs = bell_basis_vectors()
-        for row, outcome in zip(vecs, BELL_ORDER):
+        for row, outcome in zip(PairBasis.BELL.vectors, BELL_ORDER):
             np.testing.assert_allclose(row, outcome.vector, atol=ATOL)
 
     def test_rotated_basis_is_conjugated_bell_basis(self):
         # Row k equals (I x U) applied to Bell vector k.
         u = ROTATION_SECOND_PHOTON
         full = np.kron(np.eye(2), u)
-        got = rotated_bell_basis_vectors()
+        got = PairBasis.ROTATED_BELL.vectors
         for row, outcome in zip(got, BELL_ORDER):
             np.testing.assert_allclose(row, full @ outcome.vector, atol=ATOL)
 
     def test_rotated_basis_contains_rotated_signals(self):
-        got = rotated_bell_basis_vectors()
+        got = PairBasis.ROTATED_BELL.vectors
         np.testing.assert_allclose(
             got[2], signal_state(SignalTag.PSI_PLUS_ROT).amplitudes, atol=ATOL
         )
@@ -390,7 +392,7 @@ class TestMeasurementBases:
         )
 
     def test_both_bases_are_read_only_and_orthonormal(self):
-        for vecs in (bell_basis_vectors(), rotated_bell_basis_vectors()):
+        for vecs in (basis.vectors for basis in PairBasis):
             with pytest.raises(ValueError):
                 vecs[0, 0] = 5.0
             np.testing.assert_allclose(

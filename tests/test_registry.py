@@ -15,16 +15,17 @@ from triqss.qcore import (
     BellOutcome,
     PauliCorrection,
     SignalTag,
+    PairBasis,
     StateVector,
     basis_ket,
-    bell_basis_vectors,
     bell_state,
-    custom_state,
     ghz_state,
     overlap,
     signal_state,
 )
 from triqss.registry import PhotonRegistry
+
+from helpers import custom_state, factor_of
 
 
 def kron_all(*vectors):
@@ -41,9 +42,9 @@ class TestBookkeeping:
         reg.add(pair)
         assert reg.labels() == {"B", "C"}
         assert reg.has("B") and not reg.has("A")
-        assert reg.factor_of("C") is pair
+        assert factor_of(reg, "C") is pair
         with pytest.raises(KeyError, match="no photon"):
-            reg.factor_of("A")
+            factor_of(reg, "A")
 
     def test_add_rejects_duplicate_labels(self):
         reg = PhotonRegistry()
@@ -108,7 +109,7 @@ class TestSameFactorPairMeasurement:
         for idx, kind in enumerate(BELL_ORDER):
             reg = PhotonRegistry()
             reg.add(bell_state(kind, ("B'", "C")))
-            result = reg.measure_pair(("B'", "C"), bell_basis_vectors(), rng)
+            result = reg.measure_pair(("B'", "C"), PairBasis.BELL, rng)
             assert result.index == idx
             assert result.probability == pytest.approx(1.0, abs=ATOL)
             assert reg.labels() == set()
@@ -117,10 +118,10 @@ class TestSameFactorPairMeasurement:
         rng = np.random.default_rng(9)
         reg = PhotonRegistry()
         reg.add(ghz_state(("A", "B", "C")))
-        result = reg.measure_pair(("B", "C"), bell_basis_vectors(), rng)
+        result = reg.measure_pair(("B", "C"), PairBasis.BELL, rng)
         assert result.index in (0, 1)
         assert reg.labels() == {"A"}
-        assert reg.factor_of("A").num_qubits == 1
+        assert factor_of(reg, "A").num_qubits == 1
 
 
 class FakeRng:
@@ -165,10 +166,9 @@ class TestCrossFactorPairMeasurement:
             sig = signal_state(tag, ("B", "C"))
             reg.add(fake)
             reg.add(sig)
-            vecs = bell_basis_vectors()
-            result = reg.measure_pair(("B'", "C"), vecs, FakeRng(u))
+            result = reg.measure_pair(("B'", "C"), PairBasis.BELL, FakeRng(u))
             want_idx, want_prob, want_post = self.oracle(
-                fake, sig, ("B'", "C"), vecs, u
+                fake, sig, ("B'", "C"), PairBasis.BELL.vectors, u
             )
             assert result.index == want_idx
             assert result.probability == pytest.approx(want_prob, abs=ATOL)
@@ -190,7 +190,7 @@ class TestCrossFactorPairMeasurement:
                 reg = PhotonRegistry()
                 reg.add(bell_state(BellOutcome.PHI_PLUS, ("B'", "C'")))
                 reg.add(signal_state(tag, ("B", "C")))
-                result = reg.measure_pair(("B'", "C"), bell_basis_vectors(), FakeRng(u))
+                result = reg.measure_pair(("B'", "C"), PairBasis.BELL, FakeRng(u))
                 assert result.index == idx
                 got = reg.joint_state(("B", "C'"))
                 sig = signal_state(tag).amplitudes.reshape(2, 2)
@@ -211,13 +211,13 @@ class TestCrossFactorPairMeasurement:
             lone = custom_state(("C",), [0.6, 0.8])
             reg.add(pair)
             reg.add(lone)
-            result = reg.measure_pair(("B'", "C"), bell_basis_vectors(), FakeRng(u))
+            result = reg.measure_pair(("B'", "C"), PairBasis.BELL, FakeRng(u))
             want_idx, want_prob, want_post = self.oracle(
-                pair, lone, ("B'", "C"), bell_basis_vectors(), u
+                pair, lone, ("B'", "C"), PairBasis.BELL.vectors, u
             )
             assert result.index == want_idx
             assert result.probability == pytest.approx(want_prob, abs=ATOL)
-            got = reg.factor_of("C'")
+            got = factor_of(reg, "C'")
             assert got.labels == ("C'",)
             assert overlap(got, want_post) == pytest.approx(1.0, abs=ATOL)
         assert rng is not None
@@ -226,18 +226,18 @@ class TestCrossFactorPairMeasurement:
         reg = PhotonRegistry()
         reg.add(custom_state(("B'",), [0.8, 0.6]))
         reg.add(custom_state(("C",), [0.6, -0.8]))
-        result = reg.measure_pair(("B'", "C"), bell_basis_vectors(), FakeRng(0.5))
+        result = reg.measure_pair(("B'", "C"), PairBasis.BELL, FakeRng(0.5))
         assert result.post_state is None
         assert reg.labels() == set()
 
     def test_probabilities_total_one_across_outcomes(self):
-        vecs = bell_basis_vectors()
         for tag in SignalTag:
             total = 0.0
             for u in (0.05, 0.3, 0.55, 0.8):
                 reg = PhotonRegistry()
                 reg.add(bell_state(BellOutcome.PHI_PLUS, ("B'", "C'")))
                 reg.add(signal_state(tag, ("B", "C")))
-                result = reg.measure_pair(("B'", "C"), vecs, FakeRng(u))
+                result = reg.measure_pair(("B'", "C"), PairBasis.BELL, FakeRng(u))
                 total += result.probability
             assert total == pytest.approx(1.0, abs=ATOL)
+
