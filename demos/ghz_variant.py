@@ -17,7 +17,17 @@ import numpy as np
 
 from triqss.harness import preset_experiment, run_experiment
 from triqss.preparation import hbb_reduce
-from triqss.qcore import Basis, ghz_state
+from triqss.qcore import Basis, RandomSource, ghz_state
+
+
+class GeneratorSource(RandomSource):
+    """Every draw reads the next ``random()`` of a numpy ``Generator``."""
+
+    def __init__(self, generator: np.random.Generator):
+        self.generator = generator
+
+    def random(self) -> float:
+        return self.generator.random()
 
 
 def main() -> None:
@@ -26,7 +36,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
-    rng = np.random.default_rng(args.seed)
+    rng = GeneratorSource(np.random.default_rng(args.seed))
     print("Collapses of the agents' pair after the dealer's measurement:")
     for basis in (Basis.X, Basis.Y):
         seen = {}

@@ -134,8 +134,8 @@ class ActiveAdversary:
         Untouched rounds pass through with the same thinning on the far leg.
         """
         ch = self.channel
-        rec.attacked = rng.random() < self.fraction
-        pair_arrived = rng.random() < ch.eta_prime
+        rec.attacked = rng.coin(self.fraction)
+        pair_arrived = rng.coin(ch.eta_prime)
         if not pair_arrived:
             for label in ("B", "C"):
                 if rec.registry.has(label):

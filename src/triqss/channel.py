@@ -45,7 +45,7 @@ class ChannelConfig:
 def transmit(efficiency: float, rng: RandomSource) -> bool:
     """One Bernoulli trial of a lossy leg; True means the photon arrived."""
     _check_probability("efficiency", efficiency)
-    return bool(rng.random() < efficiency)
+    return rng.coin(efficiency)
 
 
 def loss_filter(keep_probability: float, rng: RandomSource) -> bool:
@@ -56,4 +56,4 @@ def loss_filter(keep_probability: float, rng: RandomSource) -> bool:
     replacement channel so the far end observes rate ``eta``.
     """
     _check_probability("keep_probability", keep_probability)
-    return bool(rng.random() < keep_probability)
+    return rng.coin(keep_probability)

@@ -53,8 +53,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="JSON file with defaults; explicit flags override it")
     parser.add_argument("--eta", type=float, default=None,
                         help="honest per-leg channel efficiency (default 0.3)")
-    parser.add_argument("--eta-prime", type=float, default=None,
-                        help="adversary replacement-channel efficiency (default 0.6)")
     parser.add_argument("--rounds", type=int, default=None,
                         help="rounds per session (default 20000)")
     parser.add_argument("--seed", type=int, default=None,
@@ -91,6 +89,20 @@ def _load_config_file(args: argparse.Namespace) -> None:
         args._config_data = data
 
 
+def _check_config_keys(args: argparse.Namespace) -> None:
+    """Reject a ``--config`` key that is not an option of the subcommand's
+    own parser, or a value outside that option's argparse choices."""
+    actions = {action.dest: action for action in args._parser._actions}
+    for key, value in args._config_data.items():
+        action = actions.get(key)
+        if action is None or key in ("help", "config"):
+            raise ConfigError(key, f"not an option of '{args.command}'")
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(
+                key, f"must be one of {', '.join(action.choices)}, got {value!r}"
+            )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="triqss",
@@ -114,9 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the first session transcript as JSONL")
     p_run.add_argument("--expect", choices=("secure", "compromised"), default=None,
                        help="exit with status 1 unless the verdict matches")
+    p_run.add_argument("--eta-prime", type=float, default=None,
+                       help="adversary replacement-channel efficiency (default 0.6)")
     _add_common(p_run)
+    p_run.set_defaults(_parser=p_run)
 
-    p_sweep = sub.add_parser("sweep", help="attacked fraction vs eta_prime")
+    # No abbreviations: "--eta-prime" would be read as "--eta-prime-list".
+    p_sweep = sub.add_parser(
+        "sweep", help="attacked fraction vs eta_prime", allow_abbrev=False
+    )
     p_sweep.add_argument("--eta-prime-list", "--eta-primes", dest="eta_primes",
                          default=None,
                          help="comma-separated replacement efficiencies "
@@ -124,6 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--repetitions", type=int, default=None,
                          help="sessions to pool per grid point (default 1)")
     _add_common(p_sweep)
+    p_sweep.set_defaults(_parser=p_sweep)
 
     p_table = sub.add_parser(
         "verify-table1", help="closed-form check of the interception table"
@@ -199,6 +218,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ordering=OrderingPolicy(ordering) if ordering else None,
         mode=Mode(mode) if mode else None,
     )
+    # After the library's own checks, whose messages name a bad preset,
+    # ordering or mode value.
+    _check_config_keys(args)
     transcript_path = _merge(args, "transcript", None)
     report = run_experiment(config, keep_transcripts=transcript_path is not None)
     _print_run_summary(report)
@@ -228,6 +250,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if not isinstance(raw, list) or not raw:
             raise ConfigError("eta_primes", "need a list of at least one efficiency")
         given["eta_prime_values"] = tuple(raw)
+    _check_config_keys(args)
     rows = sweep_pe(**given)
     header = (
         f"{'eta_prime':>9} {'formula_f':>9} {'measured_f':>10} "

@@ -197,12 +197,16 @@ def preset_experiment(
         raise ValueError(
             f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}"
         ) from None
+    if ordering is None:
+        ordering = entry.get("ordering", OrderingPolicy.VULNERABLE)
+    if mode is None:
+        mode = entry.get("mode", Mode.CLASSICAL_KEY)
     session = SessionConfig(
         channel=ChannelConfig(eta=eta, eta_prime=eta_prime),
         rounds=rounds,
         test_fraction=test_fraction,
-        ordering=ordering or entry.get("ordering", OrderingPolicy.VULNERABLE),
-        mode=mode or entry.get("mode", Mode.CLASSICAL_KEY),
+        ordering=ordering,
+        mode=mode,
         scheme=entry.get("scheme", Scheme.KKI),
         seed=seed,
     )

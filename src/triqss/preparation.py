@@ -120,10 +120,10 @@ def prepare_hardened_test_round(
 ) -> tuple[HardenedPrep, StateVector, StateVector]:
     """Draw a hardened test round: random basis and eigenstate per leg."""
     bases = (Basis.Z, Basis.X)
-    bob_basis = bases[int(rng.integers(2))]
-    bob_sign = +1 if rng.random() < 0.5 else -1
-    charlie_basis = bases[int(rng.integers(2))]
-    charlie_sign = +1 if rng.random() < 0.5 else -1
+    bob_basis = bases[rng.pick(2)]
+    bob_sign = +1 if rng.coin(0.5) else -1
+    charlie_basis = bases[rng.pick(2)]
+    charlie_sign = +1 if rng.coin(0.5) else -1
     prep = HardenedPrep(bob_basis, bob_sign, charlie_basis, charlie_sign)
     return (
         prep,

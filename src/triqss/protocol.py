@@ -54,6 +54,7 @@ from .qcore import (
     ATOL,
     Basis,
     BellOutcome,
+    RandomSource,
     SIGNAL_ORDER,
     StateVector,
     ghz_state,
@@ -141,6 +142,14 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.channel, ChannelConfig):
             raise ConfigError("channel", "expected a ChannelConfig")
+        for name, kind in (
+            ("ordering", OrderingPolicy), ("mode", Mode), ("scheme", Scheme)
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigError(
+                    name, f"expected a member of {kind.__name__}, got {value!r}"
+                )
         if not _is_int(self.rounds) or self.rounds < 1:
             raise ConfigError("rounds", f"need a positive integer, got {self.rounds!r}")
         for name in ("test_fraction", "error_threshold", "efficiency_tolerance"):
@@ -294,13 +303,12 @@ _TABLE_WIDTH = 16
 _DOUBLE_UNIT = 2.0**-53  # the top 53 bits of a raw output, scaled to [0, 1)
 
 
-class _RoundStream:
+class _RoundStream(RandomSource):
     """One round's row of the session's uniform table, read in order.
 
-    It answers the two calls every draw site makes on a random source:
-    ``random()`` returns the next cell and ``integers(k)`` scales it, which
-    is exactly uniform when ``k`` is a power of two (the bounds used are 2
-    and 4).  A round that reads past its row raises ``RuntimeError``.
+    ``random()`` returns the next cell, so each ``coin``, ``pick`` and
+    ``born`` draw of the round reads one cell.  A round that reads past its
+    row raises ``RuntimeError``.
     """
 
     __slots__ = ("_table", "_pos", "_end", "_index")
@@ -318,15 +326,12 @@ class _RoundStream:
         self._pos = pos + 1
         return self._table[pos]
 
-    def integers(self, k: int) -> int:
-        return int(self.random() * k)
-
 
 def _prepare_round(
     config: SessionConfig, test_coin: bool, registry: PhotonRegistry, rng
 ) -> Preparation:
     if config.scheme is Scheme.HBB:
-        dealer_basis = Basis.X if rng.random() < 0.5 else Basis.Y
+        dealer_basis = Basis.X if rng.coin(0.5) else Basis.Y
         outcome, pair = hbb_reduce(ghz_state(("A", "B", "C")), dealer_basis, rng)
         registry.add(pair)
         return HbbPrep.from_measurement(dealer_basis, outcome)
@@ -335,7 +340,7 @@ def _prepare_round(
         registry.add(photon_b)
         registry.add(photon_c)
         return prep
-    tag = SIGNAL_ORDER[int(rng.integers(4))]
+    tag = SIGNAL_ORDER[rng.pick(4)]
     prep = PreparedState.from_tag(tag)
     registry.add(signal_state(tag, ("B", "C")))
     return prep
@@ -354,7 +359,7 @@ def _physical_round(
     rng: _RoundStream,
 ) -> RoundRecord:
     registry = PhotonRegistry()
-    test_coin = rng.random() < config.test_fraction
+    test_coin = rng.coin(config.test_fraction)
     prep = _prepare_round(config, test_coin, registry, rng)
     rec = RoundRecord(
         round_id=index,
@@ -500,7 +505,7 @@ def _announce(
                 rec, rec._rng, loss_branch_available=False, agent_bases=bases
             )
         said = [d for d in _declarations(rec) if d[1]]
-        if refined and len(said) == 2 and rec._rng.random() < 0.5:
+        if refined and len(said) == 2 and rec._rng.coin(0.5):
             said.reverse()
         for party, _, outcome, _ in said:
             emit(party, "outcome", rec.round_id, int(outcome))
@@ -516,7 +521,7 @@ def _announce(
             # unmeasured: Bob never measured B and announces a random basis
             # plus (later, privately) a fabricated key bit.
             rec.bob_basis = adversary.fake_key_basis(rec._rng, bases)
-            rec.bob_outcome = +1 if rec._rng.random() < 0.5 else -1
+            rec.bob_outcome = +1 if rec._rng.coin(0.5) else -1
         for party, declared, _, basis in _declarations(rec):
             if declared and basis is not None:
                 emit(party, "basis", rec.round_id, basis.value)

@@ -2,9 +2,9 @@
 
 Everything in this module is small, dense linear algebra over explicit
 amplitude vectors.  States are immutable; nothing here mutates its input.
-All stochastic operations take an explicit ``RandomSource``: numpy's
-``random()`` and ``integers(k)``, from a session's per-round stream or a
-``numpy.random.Generator``, so a fixed seed reproduces the same trajectory.
+All stochastic operations take an explicit ``RandomSource``, a session's
+per-round stream, and make every random decision through its ``coin``,
+``pick`` or ``born`` draw, so a fixed seed reproduces the same trajectory.
 
 Joint two-qubit measurements take a ``PairBasis`` member: the Bell basis or
 its rotated twin, the only two bases the protocol measures pairs in.
@@ -31,10 +31,10 @@ Conventions
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Protocol
 
 import numpy as np
 
@@ -46,12 +46,36 @@ ZERO_PROB = 1e-12
 _SQ2 = 1.0 / np.sqrt(2.0)
 
 
-class RandomSource(Protocol):
-    """The two draws every sampled operation makes."""
+class RandomSource:
+    """The three draws every random decision makes, each from one uniform.
 
-    def random(self) -> float: ...
+    Subclasses supply ``random()``, the next uniform in ``[0, 1)``.
+    """
 
-    def integers(self, k: int) -> int: ...
+    __slots__ = ()
+
+    def random(self) -> float:
+        raise NotImplementedError
+
+    def coin(self, p: float) -> bool:
+        """True with probability ``p``: a built-in bool, even for a numpy ``p``."""
+        return True if self.random() < p else False
+
+    def pick(self, k: int) -> int:
+        """One of ``range(k)``, uniform when ``k`` is a power of two."""
+        return int(self.random() * k)
+
+    def born(self, cumulative: tuple[float, ...]) -> int:
+        """The branch whose interval of the running sums holds the uniform.
+
+        Past the first branch, a total more than 1e-6 from 1 raises
+        ``AssertionError``; past the total, the last branch with positive width.
+        """
+        k = bisect_right(cumulative, self.random())  # first sum above it
+        total = cumulative[-1]
+        if k and not abs(total - 1.0) <= 1e-6:
+            raise AssertionError(f"probabilities sum to {total}, state not normalized")
+        return k if k < len(cumulative) else cumulative.index(total)
 
 
 class Basis(Enum):
@@ -459,6 +483,10 @@ def _pair_residual(
     return out
 
 
+# A measurement's outcomes and the running sums of their probabilities.
+_Branches = tuple[tuple, tuple[float, ...]]
+
+
 def measure_qubit(
     state: StateVector, label: str, basis: Basis, rng: RandomSource
 ) -> Measurement:
@@ -466,37 +494,25 @@ def measure_qubit(
 
     The measured qubit is removed from the returned post-state.
     """
-    plus, minus = _qubit_branches(state.labels, state.amplitudes.tobytes(), label, basis)
-    if rng.random() < plus.probability:
-        return plus
-    if not abs(plus.probability + minus.probability - 1.0) <= 1e-6:
-        raise AssertionError(
-            f"probabilities sum to {plus.probability + minus.probability}, "
-            f"state not normalized"
-        )
-    return minus
+    results, cumulative = _qubit_branches(
+        state.labels, state.amplitudes.tobytes(), label, basis
+    )
+    return results[rng.born(cumulative)]
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _qubit_branches(
     labels: tuple[str, ...], amplitudes: bytes, label: str, basis: Basis
-) -> tuple[Measurement, Measurement]:
+) -> _Branches:
     return _qubit_kernel(_state_from_bytes(labels, amplitudes), label, basis)
 
 
-def _qubit_kernel(
-    state: StateVector, label: str, basis: Basis
-) -> tuple[Measurement, Measurement]:
+def _qubit_kernel(state: StateVector, label: str, basis: Basis) -> _Branches:
     """The +1 and -1 branches of a single-qubit measurement."""
-    return tuple(
-        Measurement(outcome, *project_qubit(state, label, ket))
-        for outcome, ket in zip((+1, -1), basis.eigenvectors)
-    )
-
-
-# The four outcomes of a joint measurement and the running sums of their
-# probabilities, in row order.
-_PairBranches = tuple[tuple[PairMeasurement, ...], tuple[float, ...]]
+    plus_ket, minus_ket = basis.eigenvectors
+    plus = Measurement(+1, *project_qubit(state, label, plus_ket))
+    minus = Measurement(-1, *project_qubit(state, label, minus_ket))
+    return (plus, minus), (plus.probability, plus.probability + minus.probability)
 
 
 def measure_two_qubit_basis(
@@ -511,20 +527,22 @@ def measure_two_qubit_basis(
     as the most significant bit.  The basis is part of the memo key, so an
     array in its place raises ``TypeError`` (unhashable).
     """
-    branches = _pair_branches(state.labels, state.amplitudes.tobytes(), pair, basis)
-    return _draw_pair_branch(branches, rng)
+    results, cumulative = _pair_branches(
+        state.labels, state.amplitudes.tobytes(), pair, basis
+    )
+    return results[rng.born(cumulative)]
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _pair_branches(
     labels: tuple[str, ...], amplitudes: bytes, pair: tuple[str, str], basis: PairBasis
-) -> _PairBranches:
+) -> _Branches:
     return _pair_kernel(_state_from_bytes(labels, amplitudes), pair, basis)
 
 
 def _pair_kernel(
     state: StateVector, pair: tuple[str, str], basis: PairBasis
-) -> _PairBranches:
+) -> _Branches:
     """All four branches of a joint two-qubit measurement on one state."""
     rest = tuple(l for l in state.labels if l not in pair)
     return _branches_from_residuals(
@@ -532,7 +550,7 @@ def _pair_kernel(
     )
 
 
-def _branches_from_residuals(residuals, rest: tuple[str, ...]) -> _PairBranches:
+def _branches_from_residuals(residuals, rest: tuple[str, ...]) -> _Branches:
     """Branches from the four unnormalized remainders, in row order.
 
     The post-state over ``rest`` is the normalized remainder, ``None`` when
@@ -552,19 +570,3 @@ def _branches_from_residuals(residuals, rest: tuple[str, ...]) -> _PairBranches:
         results.append(PairMeasurement(k, prob, post))
         cumulative.append(acc)
     return tuple(results), tuple(cumulative)
-
-
-def _draw_pair_branch(
-    branches: _PairBranches, rng: RandomSource
-) -> PairMeasurement:
-    """Sample one branch: a single uniform walked through the running sums."""
-    results, cumulative = branches
-    u = rng.random()
-    for k in range(4):
-        if u < cumulative[k] or k == 3:
-            break
-    if u >= cumulative[k] and not abs(cumulative[k] - 1.0) <= 1e-6:
-        raise AssertionError(
-            f"probabilities sum to {cumulative[k]}, state not normalized"
-        )
-    return results[k]

@@ -29,9 +29,8 @@ from .qcore import (
     PauliCorrection,
     RandomSource,
     StateVector,
-    _PairBranches,
+    _Branches,
     _branches_from_residuals,
-    _draw_pair_branch,
     _state_from_bytes,
     apply_correction,
     measure_qubit,
@@ -41,7 +40,7 @@ from .qcore import (
 
 def pick_basis(bases: tuple[Basis, ...], rng: RandomSource) -> Basis:
     """An agent's basis choice: one of ``bases``, drawn uniformly."""
-    return bases[rng.integers(len(bases))]
+    return bases[rng.pick(len(bases))]
 
 
 class PhotonRegistry:
@@ -158,12 +157,12 @@ class PhotonRegistry:
     ) -> PairMeasurement:
         f1 = self._factors[i1]
         f2 = self._factors[i2]
-        branches = _across_branches(
+        results, cumulative = _across_branches(
             f1.labels, f1.amplitudes.tobytes(),
             f2.labels, f2.amplitudes.tobytes(),
             pair, basis,
         )
-        return _draw_pair_branch(branches, rng)
+        return results[rng.born(cumulative)]
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -174,7 +173,7 @@ def _across_branches(
     amplitudes2: bytes,
     pair: tuple[str, str],
     basis: PairBasis,
-) -> _PairBranches:
+) -> _Branches:
     return _across_kernel(
         _state_from_bytes(labels1, amplitudes1),
         _state_from_bytes(labels2, amplitudes2),
@@ -185,7 +184,7 @@ def _across_branches(
 
 def _across_kernel(
     f1: StateVector, f2: StateVector, pair: tuple[str, str], basis: PairBasis
-) -> _PairBranches:
+) -> _Branches:
     """Branches of a joint measurement across two factors.
 
     ``pair[0]`` lives in ``f1`` and ``pair[1]`` in ``f2``; the factors are

@@ -5,11 +5,39 @@ a ``PairBasis``; tests also need arbitrary amplitudes, products, projections
 onto arbitrary pair vectors and a look inside the registry.  ``project_pair``
 is computed independently of the library kernels it checks: the pair's axes
 are moved to the front and contracted with the vector in one product.
+
+The library draws from a ``RandomSource``; ``GeneratorSource`` puts a numpy
+``Generator`` behind one, and ``FixedUniform`` feeds one uniform to every draw.
+``TOP_UNIFORM`` is the largest uniform a session draws.
 """
 
 import numpy as np
 
-from triqss.qcore import ZERO_PROB, StateVector
+from triqss.qcore import ZERO_PROB, RandomSource, StateVector
+
+
+# The largest uniform a session's table holds: the top 53 bits all set.
+TOP_UNIFORM = 1.0 - 2.0**-53
+
+
+class GeneratorSource(RandomSource):
+    """Every draw reads the next ``random()`` of a numpy ``Generator``."""
+
+    def __init__(self, generator: np.random.Generator):
+        self.generator = generator
+
+    def random(self) -> float:
+        return self.generator.random()
+
+
+class FixedUniform(RandomSource):
+    """Every draw reads the uniform ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
 
 
 def qubit_state(alpha: complex, beta: complex, label: str = "Q") -> StateVector:

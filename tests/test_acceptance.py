@@ -38,7 +38,7 @@ from triqss.qcore import (
 )
 from triqss.stats import ratio
 
-from helpers import custom_state
+from helpers import GeneratorSource, custom_state
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -265,7 +265,7 @@ GHZ_REDUCED = {
 def test_criterion_09_hbb_equivalence(honest_run):
     """GHZ reduction hits all four branch states with overlap >= 1 - 1e-9;
     full GHZ sessions match the pair-scheme statistics within +/- 0.01."""
-    rng = np.random.default_rng(41)
+    rng = GeneratorSource(np.random.default_rng(41))
     seen = set()
     for basis in (Basis.X, Basis.Y):
         for _ in range(40):
@@ -302,7 +302,7 @@ def test_criterion_10_property_suites():
         p_plus, _ = project_qubit(state, label, basis.eigenvectors[0])
         p_minus, _ = project_qubit(state, label, basis.eigenvectors[1])
         assert p_plus + p_minus == pytest.approx(1.0, abs=1e-9)
-        result = measure_qubit(state, label, basis, rng)
+        result = measure_qubit(state, label, basis, GeneratorSource(rng))
         assert result.outcome in (+1, -1)
         expected = p_plus if result.outcome == +1 else p_minus
         assert result.probability == pytest.approx(expected, abs=1e-9)

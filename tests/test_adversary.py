@@ -15,10 +15,15 @@ from triqss.channel import ChannelConfig
 from triqss.conventions import Scheme, convention_bit, correlated_bases
 from triqss.protocol import (
     RoundKind,
+    RoundRecord,
     SessionConfig,
     run_session,
 )
-from triqss.qcore import BellOutcome, signal_state
+from triqss.preparation import PreparedState
+from triqss.qcore import SIGNAL_ORDER, BellOutcome, signal_state
+from triqss.registry import PhotonRegistry
+
+from helpers import TOP_UNIFORM, FixedUniform
 
 
 class TestPlannedFraction:
@@ -250,6 +255,21 @@ class TestKeyRecovery:
             assert rec.recovered_charlie_outcome == rec.charlie_outcome
             recovered += 1
         assert recovered > 500
+
+    def test_top_uniform_still_recovers_every_dealer_bit(self):
+        # Each parked pair's running sums end a few ulps short of 1.0, so
+        # the largest uniform lands past the total.
+        adversary = ActiveAdversary(
+            AttackStrategy(), ChannelConfig(eta=1.0, eta_prime=1.0)
+        )
+        for tag in SIGNAL_ORDER:
+            prep = PreparedState.from_tag(tag)
+            rec = RoundRecord(0, RoundKind.KEY, False, prep, PhotonRegistry())
+            rec.registry.add(signal_state(tag, ("B", "C")))
+            bit = adversary.recover_dealer_bit(
+                rec, prep.basis_class, FixedUniform(TOP_UNIFORM)
+            )
+            assert bit == prep.bit
 
     def test_recovery_without_its_photon_raises(self):
         # After the session's own recovery the parked pair and the kept fake

@@ -5,6 +5,8 @@ import pytest
 
 from triqss.channel import ChannelConfig, loss_filter, transmit
 
+from helpers import GeneratorSource
+
 
 class TestChannelConfig:
     def test_defaults(self):
@@ -30,35 +32,35 @@ class TestChannelConfig:
 
 class TestTransmit:
     def test_perfect_leg_always_arrives(self):
-        rng = np.random.default_rng(0)
+        rng = GeneratorSource(np.random.default_rng(0))
         assert all(transmit(1.0, rng) for _ in range(100))
 
     def test_dead_leg_never_arrives(self):
-        rng = np.random.default_rng(0)
+        rng = GeneratorSource(np.random.default_rng(0))
         assert not any(transmit(0.0, rng) for _ in range(100))
 
     def test_arrival_rate_matches_efficiency(self):
-        rng = np.random.default_rng(42)
+        rng = GeneratorSource(np.random.default_rng(42))
         n = 20000
         hits = sum(transmit(0.3, rng) for _ in range(n))
         assert hits / n == pytest.approx(0.3, abs=0.01)
 
     def test_rejects_bad_efficiency(self):
-        rng = np.random.default_rng(0)
+        rng = GeneratorSource(np.random.default_rng(0))
         with pytest.raises(ValueError, match="efficiency"):
             transmit(1.5, rng)
 
 
 class TestLossFilter:
     def test_keep_rate_matches_probability(self):
-        rng = np.random.default_rng(7)
+        rng = GeneratorSource(np.random.default_rng(7))
         n = 20000
         kept = sum(loss_filter(0.6, rng) for _ in range(n))
         assert kept / n == pytest.approx(0.6, abs=0.01)
 
     def test_composition_thins_to_product_rate(self):
         # Receiving at eta_prime then keeping eta/eta_prime shows rate eta.
-        rng = np.random.default_rng(11)
+        rng = GeneratorSource(np.random.default_rng(11))
         eta, eta_prime = 0.3, 0.6
         n = 20000
         observed = sum(
@@ -68,6 +70,6 @@ class TestLossFilter:
         assert observed / n == pytest.approx(eta, abs=0.01)
 
     def test_rejects_bad_probability(self):
-        rng = np.random.default_rng(0)
+        rng = GeneratorSource(np.random.default_rng(0))
         with pytest.raises(ValueError, match="keep_probability"):
             loss_filter(-0.2, rng)

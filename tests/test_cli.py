@@ -146,6 +146,9 @@ class TestRunCommand:
         ({"test_fraction": "0.25"}, "test_fraction"),
         ({"ordering": "bogus"}, "'bogus' is not a valid OrderingPolicy"),
         ({"mode": "bogus"}, "'bogus' is not a valid Mode"),
+        ({"etta": 0.9}, "etta"),
+        ({"format": "xml"}, "format"),
+        ({"expect": "maybe"}, "expect"),
     ])
     def test_config_file_values_are_not_coerced(self, tmp_path, capsys, values, key):
         config_path = tmp_path / "run.json"
@@ -212,6 +215,8 @@ class TestSweepCommand:
         ({"eta_primes": [0.3, True]}, "eta_prime"),
         ({"eta_primes": ["0.3"]}, "eta_prime"),
         ({"eta_primes": 0.3}, "eta_primes"),
+        ({"eta_prime": 0.9}, "eta_prime"),
+        ({"format": "xml"}, "format"),
     ])
     def test_config_file_values_are_not_coerced(self, tmp_path, capsys, values, key):
         config_path = tmp_path / "sweep.json"
@@ -222,6 +227,17 @@ class TestSweepCommand:
         assert code == EXIT_CONFIG
         assert out == ""
         assert err.startswith(f"error: {key}")
+
+    @pytest.mark.parametrize("flag", ["--eta-prime", "--rep"])
+    def test_abbreviated_flags_are_refused(self, capsys, flag):
+        # sweep takes no abbreviations: --eta-prime is not read as
+        # --eta-prime-list, nor --rep as --repetitions.
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", flag, "3"])
+        assert exc.value.code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: {flag} 3" in err
 
     def test_empty_grid_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--eta-prime-list", ",")

@@ -1,9 +1,13 @@
-"""Every name a module imports is read somewhere in that module.
+"""AST scans of the package and the tests.
 
-An AST scan of the package and the tests: a name bound by ``import`` or
-``from ... import`` must be loaded at least once, or be listed in the
-module's ``__all__`` (a re-export).  ``from __future__`` imports are
-compiler directives and are skipped.
+Every name a module imports is read somewhere in that module: a name bound
+by ``import`` or ``from ... import`` must be loaded at least once, or be
+listed in the module's ``__all__`` (a re-export).  ``from __future__``
+imports are compiler directives and are skipped.
+
+Every random decision in the package is a ``coin``, ``pick`` or ``born``
+draw: no ``.random()`` or ``.integers(...)`` call appears outside the
+classes that define those draws.
 """
 
 import ast
@@ -12,7 +16,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted([*(ROOT / "src" / "triqss").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "triqss").glob("*.py"))
+FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+# The classes whose bodies may read uniforms directly.
+DRAW_CLASSES = {"RandomSource", "_RoundStream"}
 
 
 def exported(tree: ast.Module) -> set[str]:
@@ -73,3 +80,40 @@ def test_the_scan_flags_only_unread_imports():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def raw_draws(source: str) -> list[str]:
+    """``"line: method"`` for each ``.random()``/``.integers()`` call outside
+    the bodies of ``DRAW_CLASSES``."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name in DRAW_CLASSES
+        for node in ast.walk(cls)
+    }
+    return [
+        f"{node.lineno}: {node.func.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("random", "integers")
+        and id(node) not in inside
+    ]
+
+
+def test_the_draw_scan_flags_only_calls_outside_the_draw_classes():
+    source = (
+        "class RandomSource:\n"
+        "    def coin(self, p):\n"
+        "        return self.random() < p\n"
+        "def transmit(rng):\n"
+        "    return rng.random() < 0.5, rng.integers(4), rng.coin(0.5)\n"
+        "x = np.random.default_rng(0).random\n"
+    )
+    assert sorted(raw_draws(source)) == ["5: integers", "5: random"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_random_decision_is_a_named_draw(path):
+    assert raw_draws(path.read_text(encoding="utf-8")) == []

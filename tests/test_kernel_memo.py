@@ -3,11 +3,15 @@
 ``measure_qubit``, ``measure_two_qubit_basis``, ``apply_correction`` and the
 registry's cross-factor pair measurement compute every branch of an input
 once and keep it.  The reference functions below are the loop versions they
-replaced, which compute only the branch the uniform selects.  Both are driven
-with the same fixed uniforms, placed on and just below every boundary of the
-cumulative Born probabilities, so every reachable branch is compared: outcome,
-probability and post-state amplitudes, byte for byte.  Joint measurements are
-compared in both ``PairBasis`` bases, within one factor and across two.
+replaced, which compute the branches in row order and keep the one the
+uniform selects.  Each loop applies the sampling rules itself: a uniform past
+the first branch raises unless the total is within 1e-6 of 1, and a uniform
+past a total that rounding left short of 1.0 selects the last branch with
+positive probability.  Both are driven with the same fixed uniforms, placed
+on and just below every boundary of the cumulative Born probabilities, so
+every reachable branch is compared: outcome, probability and post-state
+amplitudes, byte for byte.  Joint measurements are compared in both
+``PairBasis`` bases, within one factor and across two.
 """
 
 import numpy as np
@@ -33,7 +37,7 @@ from triqss.qcore import (
 )
 from triqss.registry import PhotonRegistry
 
-from helpers import custom_state
+from helpers import TOP_UNIFORM, FixedUniform, custom_state
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +48,8 @@ def reference_measure_qubit(state, label, basis, rng):
     plus, minus = basis.eigenvectors
     r_plus = _qubit_residual(state, label, plus)
     p_plus = _clamp_probability(float(np.vdot(r_plus, r_plus).real))
-    if rng.random() < p_plus:
+    u = rng.random()
+    if u < p_plus:
         outcome, prob, residual = +1, p_plus, r_plus
     else:
         r_minus = _qubit_residual(state, label, minus)
@@ -53,7 +58,10 @@ def reference_measure_qubit(state, label, basis, rng):
             raise AssertionError(
                 f"probabilities sum to {p_plus + p_minus}, state not normalized"
             )
-        outcome, prob, residual = -1, p_minus, r_minus
+        if p_minus == 0.0:  # past the total: +1 is the last possible outcome
+            outcome, prob, residual = +1, p_plus, r_plus
+        else:
+            outcome, prob, residual = -1, p_minus, r_minus
     rest = tuple(l for l in state.labels if l != label)
     post = (
         StateVector._trusted(rest, (residual / np.sqrt(prob)).reshape(-1))
@@ -67,15 +75,19 @@ def reference_measure_two_qubit_basis(state, pair, basis, rng):
     vecs = basis.vectors
     u = rng.random()
     acc = 0.0
+    chosen = last = None
     for k in range(4):
         residual = _pair_residual(state, pair, vecs[k])
         prob = _clamp_probability(float(np.vdot(residual, residual).real))
         acc += prob
-        if u < acc or k == 3:
-            index = k
-            break
-    if u >= acc and not abs(acc - 1.0) <= 1e-6:
+        if prob > 0.0:
+            last = (k, prob, residual)
+        if chosen is None and u < acc:
+            chosen = (k, prob, residual)
+    if (chosen is None or chosen[0] > 0) and not abs(acc - 1.0) <= 1e-6:
         raise AssertionError(f"probabilities sum to {acc}, state not normalized")
+    # Past the total, the last row with positive probability is selected.
+    index, prob, residual = chosen or last
     rest = tuple(l for l in state.labels if l not in pair)
     post = (
         StateVector._trusted(rest, (residual / np.sqrt(prob)).reshape(-1))
@@ -94,6 +106,7 @@ def reference_measure_pair_across(f1, f2, pair, basis, rng):
     )
     u = rng.random()
     acc = 0.0
+    chosen = last = None
     for k in range(4):
         v = vecs[k].conj()
         residual = np.multiply.outer(t1[0], v[0] * t2[0] + v[1] * t2[1])
@@ -102,11 +115,14 @@ def reference_measure_pair_across(f1, f2, pair, basis, rng):
         if prob < ZERO_PROB:
             prob = 0.0
         acc += prob
-        if u < acc or k == 3:
-            index = k
-            break
-    if u >= acc and not abs(acc - 1.0) <= 1e-6:
+        if prob > 0.0:
+            last = (k, prob, residual)
+        if chosen is None and u < acc:
+            chosen = (k, prob, residual)
+    if (chosen is None or chosen[0] > 0) and not abs(acc - 1.0) <= 1e-6:
         raise AssertionError(f"probabilities sum to {acc}")
+    # Past the total, the last row with positive probability is selected.
+    index, prob, residual = chosen or last
     if not rest or prob == 0.0:
         return PairMeasurement(index, prob, None)
     return PairMeasurement(
@@ -118,19 +134,9 @@ def reference_measure_pair_across(f1, f2, pair, basis, rng):
 # Comparison helpers
 
 
-class FixedUniform:
-    """Stands in for a Generator whose next ``random()`` is ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
 def probes(boundaries):
-    """Uniforms on and just below every boundary, plus both ends."""
-    out = {0.0, 1.0}
+    """Uniforms on and just below every boundary, plus both ends of [0, 1]."""
+    out = {0.0, TOP_UNIFORM, 1.0}
     for b in boundaries:
         out.update((b, float(np.nextafter(b, 0.0))))
     return sorted(out)
@@ -155,17 +161,23 @@ def walk_boundaries(reference):
 
     ``reference(u)`` returns the branch the uniform ``u`` selects.  Starting
     at 0, each boundary is the previous one plus the selected branch's
-    probability, accumulated in row order exactly as the loop does.
+    probability, accumulated in row order exactly as the loop does.  The walk
+    ends when the uniform at the last boundary selects no later row.
     """
     bounds = []
     acc = 0.0
+    row = -1
     while acc < 1.0:
         result = reference(acc)
+        if isinstance(result, PairMeasurement):
+            k = result.index
+        else:
+            k = (1 - result.outcome) // 2
+        if k <= row:
+            break
+        row = k
         acc += result.probability
         bounds.append(acc)
-        last = getattr(result, "index", None) == 3 or getattr(result, "outcome", 1) == -1
-        if last or result.probability == 0.0:
-            break
     return bounds
 
 
@@ -173,8 +185,8 @@ def check_qubit(state, label, basis):
     def reference(u):
         return reference_measure_qubit(state, label, basis, FixedUniform(u))
 
-    plus, _ = qcore._qubit_kernel(state, label, basis)
-    for u in probes([plus.probability, *walk_boundaries(reference)]):
+    _, cumulative = qcore._qubit_kernel(state, label, basis)
+    for u in probes([*cumulative, *walk_boundaries(reference)]):
         assert_same(measure_qubit(state, label, basis, FixedUniform(u)), reference(u))
 
 

@@ -18,6 +18,8 @@ from triqss.qcore import (
     overlap,
 )
 
+from helpers import GeneratorSource
+
 SQ2 = 1.0 / np.sqrt(2.0)
 
 REDUCED_BY_DEALER = {
@@ -74,7 +76,7 @@ class TestHbbPrep:
 class TestHbbReduce:
     @pytest.mark.parametrize("basis", [Basis.X, Basis.Y])
     def test_collapse_matches_projector_oracle(self, basis):
-        rng = np.random.default_rng(13)
+        rng = GeneratorSource(np.random.default_rng(13))
         for _ in range(40):
             outcome, post = hbb_reduce(ghz_state(("A", "B", "C")), basis, rng)
             assert outcome in (+1, -1)
@@ -85,7 +87,7 @@ class TestHbbReduce:
             )
 
     def test_outcomes_are_balanced(self):
-        rng = np.random.default_rng(19)
+        rng = GeneratorSource(np.random.default_rng(19))
         n = 2000
         plus = sum(
             hbb_reduce(ghz_state(("A", "B", "C")), Basis.X, rng)[0] == +1
@@ -94,19 +96,19 @@ class TestHbbReduce:
         assert plus / n == pytest.approx(0.5, abs=0.03)
 
     def test_rejects_z_basis(self):
-        rng = np.random.default_rng(0)
+        rng = GeneratorSource(np.random.default_rng(0))
         with pytest.raises(ValueError, match="X or Y"):
             hbb_reduce(ghz_state(("A", "B", "C")), Basis.Z, rng)
 
     def test_rejects_single_photon_input(self):
-        rng = np.random.default_rng(0)
+        rng = GeneratorSource(np.random.default_rng(0))
         with pytest.raises(ValueError, match="no photons left"):
             hbb_reduce(basis_ket(Basis.Z, +1, "A"), Basis.X, rng)
 
 
 class TestHardenedPreparation:
     def test_photons_match_recorded_prep(self):
-        rng = np.random.default_rng(31)
+        rng = GeneratorSource(np.random.default_rng(31))
         for _ in range(50):
             prep, photon_b, photon_c = prepare_hardened_test_round(rng)
             assert isinstance(prep, HardenedPrep)
@@ -118,7 +120,7 @@ class TestHardenedPreparation:
             assert overlap(photon_c, expected_c) == pytest.approx(1.0, abs=1e-9)
 
     def test_draws_only_z_and_x(self):
-        rng = np.random.default_rng(37)
+        rng = GeneratorSource(np.random.default_rng(37))
         seen = set()
         for _ in range(200):
             prep, _, _ = prepare_hardened_test_round(rng)
@@ -129,7 +131,7 @@ class TestHardenedPreparation:
         }
 
     def test_uses_requested_labels(self):
-        rng = np.random.default_rng(0)
+        rng = GeneratorSource(np.random.default_rng(0))
         _, photon_b, photon_c = prepare_hardened_test_round(rng, ("L", "R"))
         assert photon_b.labels == ("L",)
         assert photon_c.labels == ("R",)

@@ -11,7 +11,7 @@ from triqss.qcore import (
     project_qubit,
 )
 
-from helpers import custom_state, project_pair
+from helpers import GeneratorSource, custom_state, project_pair
 
 LABEL_SETS = (("Q",), ("B", "C"), ("A", "B", "C"))
 
@@ -59,7 +59,7 @@ class TestRandomizedInvariants:
             state = random_state(rng, labels)
             label = labels[int(rng.integers(len(labels)))]
             basis = list(Basis)[int(rng.integers(3))]
-            result = measure_qubit(state, label, basis, rng)
+            result = measure_qubit(state, label, basis, GeneratorSource(rng))
             assert result.outcome in (+1, -1)
             assert 0.0 <= result.probability <= 1.0
             if len(labels) == 1:
@@ -79,7 +79,7 @@ class TestRandomizedInvariants:
             state = random_state(rng, labels)
             label = labels[int(rng.integers(len(labels)))]
             basis = list(Basis)[int(rng.integers(3))]
-            result = measure_qubit(state, label, basis, rng)
+            result = measure_qubit(state, label, basis, GeneratorSource(rng))
             ket = basis.eigenvectors[0 if result.outcome == +1 else 1]
             prob, post = project_qubit(state, label, ket)
             assert result.probability == pytest.approx(prob, abs=1e-9)
@@ -101,7 +101,7 @@ class TestRandomizedInvariants:
             basis = bases[int(rng.integers(2))]
             total = sum(project_pair(state, pair, v)[0] for v in basis.vectors)
             assert total == pytest.approx(1.0, abs=1e-9)
-            result = measure_two_qubit_basis(state, pair, basis, rng)
+            result = measure_two_qubit_basis(state, pair, basis, GeneratorSource(rng))
             prob, _ = project_pair(state, pair, basis.vectors[result.index])
             assert result.probability == pytest.approx(prob, abs=1e-9)
 

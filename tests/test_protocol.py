@@ -26,9 +26,11 @@ from triqss.protocol import (
 )
 from triqss.adversary import AttackKind, AttackStrategy
 from triqss.conventions import correlated_bases
-from triqss.harness import preset_experiment, run_experiment
+from triqss.harness import PRESET_NAMES, preset_experiment, run_experiment
 from triqss.qcore import ATOL, overlap
 from test_golden import GOLDEN_SEED
+
+from helpers import TOP_UNIFORM, FixedUniform
 
 
 def honest_config(**overrides):
@@ -70,6 +72,24 @@ class TestConfigValidation:
         assert err.value.field == "seed"
         with pytest.raises(ConfigError, match="channel"):
             SessionConfig(channel="not a channel")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("ordering", "sifting"),
+            ("mode", "state-sharing"),
+            ("scheme", "kki"),
+            ("ordering", ""),
+            ("mode", 0),
+        ],
+    )
+    def test_rejects_values_that_are_not_members(self, field, value):
+        with pytest.raises(ConfigError, match=field) as err:
+            honest_config(**{field: value})
+        assert err.value.field == field
+        if field != "scheme":
+            with pytest.raises(ConfigError, match=field):
+                preset_experiment("opaque-vulnerable", **{field: value})
 
     def test_active_adversary_needs_zx_scheme(self):
         config = honest_config(scheme=Scheme.HBB)
@@ -291,6 +311,18 @@ class TestTranscriptExport:
             seen_ids.append(row["round_id"])
         assert seen_ids == list(range(50))
 
+    @pytest.mark.parametrize("attacked", [False, True], ids=["honest", "attacked"])
+    def test_numpy_channel_values_export(self, tmp_path, attacked):
+        channel = ChannelConfig(eta=np.float64(0.9), eta_prime=np.float64(1.0))
+        strategy = AttackStrategy() if attacked else None
+        transcript = run_session(honest_config(channel=channel, rounds=200), strategy)
+        for rec in transcript.rounds:
+            flags = (rec.delivered_bob, rec.delivered_charlie, rec.attacked)
+            assert all(type(flag) is bool for flag in flags)
+        path = tmp_path / "session.jsonl"
+        export_transcript_jsonl(transcript, str(path))
+        assert len(path.read_text().splitlines()) == 201
+
     def test_round_announcements_are_sequence_ordered(self, tmp_path):
         transcript = run_session(honest_config(rounds=80))
         path = tmp_path / "session.jsonl"
@@ -313,12 +345,15 @@ class TestRoundStreams:
             expected = ((raw[i] >> 11) * 2.0**-53).tolist()
             assert [streams[i].random() for _ in range(width)] == expected, i
 
-    def test_integers_scale_the_next_uniform(self):
+    def test_coin_pick_and_born_read_the_next_uniform(self):
         reference = _round_streams(3, 1)[0]
-        first, second = reference.random(), reference.random()
+        u = [reference.random() for _ in range(5)]
         rng = _round_streams(3, 1)[0]
-        assert rng.integers(4) == int(first * 4)
-        assert rng.random() == second
+        assert rng.pick(4) == int(u[0] * 4)
+        assert rng.coin(u[1]) is False
+        assert rng.coin(np.nextafter(u[2], 1.0)) is True
+        assert rng.born((u[3], 1.0)) == 1
+        assert rng.random() == u[4]
 
     @pytest.mark.parametrize("ordering", ["refined", "sifting"])
     def test_hardened_rounds_read_at_most_14_uniforms(self, monkeypatch, ordering):
@@ -331,6 +366,21 @@ class TestRoundStreams:
         monkeypatch.setattr(protocol, "_TABLE_WIDTH", 13)
         with pytest.raises(RuntimeError, match=r"round \d+ read past its table row"):
             run_experiment(experiment)
+
+
+def test_top_uniform_at_every_born_draw_picks_a_possible_branch(monkeypatch):
+    widths = []
+
+    def born_at_top(self, cumulative):
+        self.random()  # the round's cursor still advances
+        k = FixedUniform(TOP_UNIFORM).born(cumulative)
+        widths.append(cumulative[k] - (cumulative[k - 1] if k else 0.0))
+        return k
+
+    monkeypatch.setattr(protocol._RoundStream, "born", born_at_top)
+    for preset in PRESET_NAMES:
+        run_experiment(preset_experiment(preset, rounds=2000, seed=GOLDEN_SEED))
+    assert widths and min(widths) > 0.0
 
 
 def test_round_records_and_announcements_are_slotted():

@@ -27,7 +27,15 @@ from triqss.qcore import (
 )
 from triqss.registry import PhotonRegistry
 
-from helpers import custom_state, project_pair, qubit_state, tensor
+from helpers import (
+    TOP_UNIFORM,
+    FixedUniform,
+    GeneratorSource,
+    custom_state,
+    project_pair,
+    qubit_state,
+    tensor,
+)
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -304,7 +312,7 @@ class TestProjections:
 
 class TestSampledMeasurements:
     def test_measure_qubit_statistics(self):
-        rng = np.random.default_rng(17)
+        rng = GeneratorSource(np.random.default_rng(17))
         state = qubit_state(0.6, 0.8)
         n = 4000
         plus = sum(
@@ -313,7 +321,7 @@ class TestSampledMeasurements:
         assert plus / n == pytest.approx(0.36, abs=0.02)
 
     def test_measure_qubit_removes_label_and_normalizes(self):
-        rng = np.random.default_rng(2)
+        rng = GeneratorSource(np.random.default_rng(2))
         state = ghz_state(("A", "B", "C"))
         result = measure_qubit(state, "B", Basis.X, rng)
         assert result.outcome in (+1, -1)
@@ -322,14 +330,14 @@ class TestSampledMeasurements:
         assert np.linalg.norm(result.post_state.amplitudes) == pytest.approx(1.0)
 
     def test_measure_qubit_deterministic_branch(self):
-        rng = np.random.default_rng(0)
+        rng = GeneratorSource(np.random.default_rng(0))
         result = measure_qubit(qubit_state(1.0, 0.0), "Q", Basis.Z, rng)
         assert result.outcome == +1
         assert result.probability == pytest.approx(1.0)
         assert result.post_state is None
 
     def test_measure_pair_is_deterministic_on_basis_states(self):
-        rng = np.random.default_rng(23)
+        rng = GeneratorSource(np.random.default_rng(23))
         for idx, kind in enumerate(BELL_ORDER):
             state = bell_state(kind, ("B", "C"))
             result = measure_two_qubit_basis(state, ("B", "C"), PairBasis.BELL, rng)
@@ -338,7 +346,7 @@ class TestSampledMeasurements:
             assert result.post_state is None
 
     def test_measure_pair_uniform_on_ghz(self):
-        rng = np.random.default_rng(29)
+        rng = GeneratorSource(np.random.default_rng(29))
         counts = np.zeros(4)
         for _ in range(2000):
             result = measure_two_qubit_basis(
@@ -367,6 +375,48 @@ class TestSampledMeasurements:
         with pytest.raises(TypeError, match="unhashable"):
             reg.measure_pair(("B", "C"), bad, rng)
         assert reg.has("B") and reg.has("C")
+
+
+class TestBornDraw:
+    """One uniform walked through running sums that may fall short of 1.0."""
+
+    # The parked psi+ pair's Bell-basis running sums, four ulps short.
+    SHORT = (0.0, 0.0, 0.9999999999999996, 0.9999999999999996)
+
+    def test_zero_width_branches_are_never_returned(self):
+        edge = self.SHORT[2]
+        for u in (0.0, 0.5, np.nextafter(edge, 0.0), edge, TOP_UNIFORM, 1.0):
+            assert FixedUniform(u).born(self.SHORT) == 2
+        assert FixedUniform(0.25).born((0.25, 0.25, 0.5, 1.0)) == 2
+        assert FixedUniform(0.0).born((0.0, 1.0)) == 1
+
+    def test_no_forbidden_outcome_at_the_top_uniform(self):
+        top = FixedUniform(TOP_UNIFORM)
+        plus_x = basis_ket(Basis.X, +1)
+        assert measure_qubit(plus_x, "Q", Basis.X, top).outcome == +1
+        for idx, kind in enumerate(BELL_ORDER):
+            state = bell_state(kind, ("B", "C"))
+            result = measure_two_qubit_basis(state, ("B", "C"), PairBasis.BELL, top)
+            assert result.index == idx
+
+    def test_unnormalized_total_raises_past_the_first_branch(self):
+        assert FixedUniform(0.2).born((0.25, 0.5)) == 0
+        for u in (0.25, 0.4, 0.5):
+            with pytest.raises(AssertionError, match="sum to 0.5, state not normalized"):
+                FixedUniform(u).born((0.25, 0.5))
+        assert FixedUniform(0.2).born((0.25, 1.5)) == 0
+        with pytest.raises(AssertionError, match="sum to 1.5, state not normalized"):
+            FixedUniform(0.4).born((0.25, 1.5))
+        with pytest.raises(AssertionError, match="not normalized"):
+            FixedUniform(TOP_UNIFORM).born((0.0, 0.0))
+        assert FixedUniform(TOP_UNIFORM).born((0.5, 1.0 - 1e-7, 1.0 - 1e-7)) == 1
+
+    def test_overnormalized_state_raises_on_the_second_outcome(self):
+        # p(+1) = p(-1) = 0.64: every uniform lies below the total of 1.28.
+        heavy = StateVector._trusted(("Q",), np.array([0.8, 0.8], dtype=complex))
+        assert measure_qubit(heavy, "Q", Basis.Z, FixedUniform(0.5)).outcome == +1
+        with pytest.raises(AssertionError, match="not normalized"):
+            measure_qubit(heavy, "Q", Basis.Z, FixedUniform(0.7))
 
 
 class TestMeasurementBases:

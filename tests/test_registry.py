@@ -25,7 +25,7 @@ from triqss.qcore import (
 )
 from triqss.registry import PhotonRegistry
 
-from helpers import custom_state, factor_of
+from helpers import FixedUniform, GeneratorSource, custom_state, factor_of
 
 
 def kron_all(*vectors):
@@ -77,7 +77,7 @@ class TestBookkeeping:
     def test_measure_removes_photon(self):
         reg = PhotonRegistry()
         reg.add(ghz_state(("A", "B", "C")))
-        rng = np.random.default_rng(3)
+        rng = GeneratorSource(np.random.default_rng(3))
         result = reg.measure("A", Basis.X, rng)
         assert result.outcome in (+1, -1)
         assert reg.labels() == {"B", "C"}
@@ -90,7 +90,7 @@ class TestBookkeeping:
     def test_discard_removes_photon_and_keeps_marginals(self):
         # Dropping one photon of psi+ leaves the other maximally mixed:
         # X statistics on the survivor must stay 50/50.
-        rng = np.random.default_rng(5)
+        rng = GeneratorSource(np.random.default_rng(5))
         plus = 0
         n = 2000
         for _ in range(n):
@@ -105,7 +105,7 @@ class TestBookkeeping:
 
 class TestSameFactorPairMeasurement:
     def test_identifies_bell_states_and_removes_photons(self):
-        rng = np.random.default_rng(7)
+        rng = GeneratorSource(np.random.default_rng(7))
         for idx, kind in enumerate(BELL_ORDER):
             reg = PhotonRegistry()
             reg.add(bell_state(kind, ("B'", "C")))
@@ -115,23 +115,13 @@ class TestSameFactorPairMeasurement:
             assert reg.labels() == set()
 
     def test_keeps_remainder_inside_factor(self):
-        rng = np.random.default_rng(9)
+        rng = GeneratorSource(np.random.default_rng(9))
         reg = PhotonRegistry()
         reg.add(ghz_state(("A", "B", "C")))
         result = reg.measure_pair(("B", "C"), PairBasis.BELL, rng)
         assert result.index in (0, 1)
         assert reg.labels() == {"A"}
         assert factor_of(reg, "A").num_qubits == 1
-
-
-class FakeRng:
-    """Feeds one predetermined uniform draw to the outcome selector."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self):
-        return self.value
 
 
 class TestCrossFactorPairMeasurement:
@@ -166,7 +156,7 @@ class TestCrossFactorPairMeasurement:
             sig = signal_state(tag, ("B", "C"))
             reg.add(fake)
             reg.add(sig)
-            result = reg.measure_pair(("B'", "C"), PairBasis.BELL, FakeRng(u))
+            result = reg.measure_pair(("B'", "C"), PairBasis.BELL, FixedUniform(u))
             want_idx, want_prob, want_post = self.oracle(
                 fake, sig, ("B'", "C"), PairBasis.BELL.vectors, u
             )
@@ -190,7 +180,7 @@ class TestCrossFactorPairMeasurement:
                 reg = PhotonRegistry()
                 reg.add(bell_state(BellOutcome.PHI_PLUS, ("B'", "C'")))
                 reg.add(signal_state(tag, ("B", "C")))
-                result = reg.measure_pair(("B'", "C"), PairBasis.BELL, FakeRng(u))
+                result = reg.measure_pair(("B'", "C"), PairBasis.BELL, FixedUniform(u))
                 assert result.index == idx
                 got = reg.joint_state(("B", "C'"))
                 sig = signal_state(tag).amplitudes.reshape(2, 2)
@@ -211,7 +201,7 @@ class TestCrossFactorPairMeasurement:
             lone = custom_state(("C",), [0.6, 0.8])
             reg.add(pair)
             reg.add(lone)
-            result = reg.measure_pair(("B'", "C"), PairBasis.BELL, FakeRng(u))
+            result = reg.measure_pair(("B'", "C"), PairBasis.BELL, FixedUniform(u))
             want_idx, want_prob, want_post = self.oracle(
                 pair, lone, ("B'", "C"), PairBasis.BELL.vectors, u
             )
@@ -226,7 +216,7 @@ class TestCrossFactorPairMeasurement:
         reg = PhotonRegistry()
         reg.add(custom_state(("B'",), [0.8, 0.6]))
         reg.add(custom_state(("C",), [0.6, -0.8]))
-        result = reg.measure_pair(("B'", "C"), PairBasis.BELL, FakeRng(0.5))
+        result = reg.measure_pair(("B'", "C"), PairBasis.BELL, FixedUniform(0.5))
         assert result.post_state is None
         assert reg.labels() == set()
 
@@ -237,7 +227,7 @@ class TestCrossFactorPairMeasurement:
                 reg = PhotonRegistry()
                 reg.add(bell_state(BellOutcome.PHI_PLUS, ("B'", "C'")))
                 reg.add(signal_state(tag, ("B", "C")))
-                result = reg.measure_pair(("B'", "C"), PairBasis.BELL, FakeRng(u))
+                result = reg.measure_pair(("B'", "C"), PairBasis.BELL, FixedUniform(u))
                 total += result.probability
             assert total == pytest.approx(1.0, abs=ATOL)
 
