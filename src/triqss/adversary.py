@@ -241,7 +241,7 @@ class ActiveAdversary:
             self._early_test_answer(rec, rng, agent_bases)
             return
         if isinstance(rec.preparation, HardenedPrep):
-            self._hardened_test_answer(rec, rng, agent_bases)
+            self._hardened_test_answer(rec, rng, agent_bases, loss_branch_available)
             return
         result = rec.registry.measure_pair((FAKE_BOB, "C"), PairBasis.BELL, rng)
         outcome = BELL_ORDER[result.index]
@@ -275,12 +275,16 @@ class ActiveAdversary:
         else:
             rec.declared_bob = False
 
-    def _hardened_test_answer(self, rec, rng, agent_bases) -> None:
+    def _hardened_test_answer(
+        self, rec, rng, agent_bases, loss_branch_available: bool
+    ) -> None:
         # The kept first photon is the genuine prepared one, so honest
         # answers keep this leg clean; the substituted far leg is what the
-        # hardened check will catch.  Declare at the advertised rate.
+        # hardened check will catch.  Declare at the advertised rate, unless
+        # the detection is already public (sifting), which was thinned then.
         rec.branch = "skipped"
-        if loss_filter(self.channel.eta / self.channel.eta_prime, rng):
+        keep = self.channel.eta / self.channel.eta_prime
+        if not loss_branch_available or loss_filter(keep, rng):
             rec.declared_bob = True
             rec.bob_basis, rec.bob_outcome = rec.registry.measure_random_basis(
                 "B", agent_bases, rng

@@ -295,10 +295,9 @@ def _round_streams(seed: int, n: int) -> list[_RoundStream]:
 
 
 # Uniforms per round in the session table.  The most any round reads is 14:
-# an attacked hardened test round under the refined or sifting ordering
-# (test coin 1, product preparation 4, interception 3, Charlie's measurement
-# 2, the agent's answer 3, and the interleave coin or the early declaration
-# 1).  At 13 exactly those rounds overrun.
+# an attacked hardened test round under the refined ordering (test coin 1,
+# product preparation 4, interception 3, Charlie's measurement 2, the agent's
+# answer 3 and the interleave coin 1).  At 13 exactly those rounds overrun.
 _TABLE_WIDTH = 16
 _DOUBLE_UNIT = 2.0**-53  # the top 53 bits of a raw output, scaled to [0, 1)
 

@@ -15,6 +15,14 @@ agreed under a Bonferroni-corrected two-proportion z-test (table in
 CHANGES.md).  The digests do not depend on ``PYTHONHASHSEED`` (checked with
 1 and 99).
 
+One pair moved later, alone, with a bug fix: ``hardened/sifting/classical``
+went from ``f375090d…``/``632cd0b9…`` to ``5b4641de…``/``f896696f…``.  An
+attacked hardened test round used to thin Bob's detection a second time after
+its ``True`` was already public, so the record and the public log disagreed.
+Bob now answers an already-declared photon honestly, with no second draw.
+The new tally digest is the one ``hardened/vulnerable`` and
+``hardened/refined`` already shared; no other digest moved.
+
 A change that alters the random streams on purpose updates these digests in
 the same commit and records the new values, and why they moved, in
 CHANGES.md.  Any other change must leave them untouched.
@@ -168,8 +176,8 @@ GRID_DIGESTS = {
         "f4fedab8c719c5915c6c7962945dde104c4bf483a02b8d5b2764539cde62e17c",
     ),
     ("hardened", "sifting", "classical"): (
-        "f375090d0a0482cb643e29de395f0f8779777e7eae38d2d75ac18e9699a53343",
-        "632cd0b98714bd0169715e84f35e6c9a0658230f196c48b18414004da3325e03",
+        "5b4641de0141142084d0109bf2fc2cb425879a4233e2bffb39c3166b4c1f267d",
+        "f896696f1738d4fbbe06358eb65ae86cfa86b84f83bd20c1c9b52ad4dc008e63",
     ),
     ("hardened", "sifting", "state-sharing"): (
         "aa13117db31a438a4989ab66655569c2a0069fde8e3b0b32cab6e83f194b7d8a",
