@@ -91,7 +91,8 @@ def _load_config_file(args: argparse.Namespace) -> None:
 
 def _check_config_keys(args: argparse.Namespace) -> None:
     """Reject a ``--config`` key that is not an option of the subcommand's
-    own parser, or a value outside that option's argparse choices."""
+    own parser, a value outside that option's argparse choices, or a file
+    path that is not a string."""
     actions = {action.dest: action for action in args._parser._actions}
     for key, value in args._config_data.items():
         action = actions.get(key)
@@ -101,6 +102,8 @@ def _check_config_keys(args: argparse.Namespace) -> None:
             raise ConfigError(
                 key, f"must be one of {', '.join(action.choices)}, got {value!r}"
             )
+        if action.metavar == "FILE" and not isinstance(value, str):
+            raise ConfigError(key, f"need a file path string, got {value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -149,6 +149,8 @@ class TestRunCommand:
         ({"etta": 0.9}, "etta"),
         ({"format": "xml"}, "format"),
         ({"expect": "maybe"}, "expect"),
+        ({"transcript": 1}, "transcript"),
+        ({"out": 2}, "out"),
     ])
     def test_config_file_values_are_not_coerced(self, tmp_path, capsys, values, key):
         config_path = tmp_path / "run.json"
@@ -217,6 +219,7 @@ class TestSweepCommand:
         ({"eta_primes": 0.3}, "eta_primes"),
         ({"eta_prime": 0.9}, "eta_prime"),
         ({"format": "xml"}, "format"),
+        ({"out": 2}, "out"),
     ])
     def test_config_file_values_are_not_coerced(self, tmp_path, capsys, values, key):
         config_path = tmp_path / "sweep.json"

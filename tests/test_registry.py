@@ -194,7 +194,6 @@ class TestCrossFactorPairMeasurement:
 
     def test_two_plus_one_factor_contraction(self):
         # Pair measurement across a two-qubit factor and a lone qubit.
-        rng = np.random.default_rng(21)
         for u in (0.2, 0.7):
             reg = PhotonRegistry()
             pair = bell_state(BellOutcome.PHI_PLUS, ("B'", "C'"))
@@ -210,7 +209,6 @@ class TestCrossFactorPairMeasurement:
             got = factor_of(reg, "C'")
             assert got.labels == ("C'",)
             assert overlap(got, want_post) == pytest.approx(1.0, abs=ATOL)
-        assert rng is not None
 
     def test_two_lone_qubits_leave_no_remainder(self):
         reg = PhotonRegistry()
