@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
@@ -183,12 +183,12 @@ class RoundRecord:
     ``delivered_*`` is physical arrival; ``declared_*`` is what the party
     announced (``None`` when the round carries no declaration obligation,
     e.g. message rounds).  Announced outcomes exist only for rounds whose
-    photon was delivered, declared, and measured.
+    photon was delivered, declared, and measured.  ``charlie_first`` is the
+    ``REFINED`` speaking-order coin of a test round both agents declared.
     """
 
     round_id: int
     kind: RoundKind
-    test_coin: bool
     preparation: Preparation
     registry: PhotonRegistry
     delivered_bob: bool = False
@@ -207,7 +207,7 @@ class RoundRecord:
     declared_loss_cheat: bool = False
     recovered_dealer_bit: int | None = None
     recovered_charlie_outcome: int | None = None
-    _rng: _RoundStream | None = field(default=None, repr=False, compare=False)
+    charlie_first: bool = False
 
 
 @dataclass
@@ -279,7 +279,7 @@ def validate_session(config: SessionConfig, strategy: AttackStrategy | None) -> 
         )
 
 
-def _round_streams(seed: int, n: int) -> list[_RoundStream]:
+def _uniform_table(seed: int, n: int) -> array:
     # Counter-based (Salmon et al., "Parallel Random Numbers: As Easy as
     # 1, 2, 3", SC'11): round i reads row i of one Philox table, so its
     # draws depend only on (seed, round index), never on how many draws
@@ -288,10 +288,8 @@ def _round_streams(seed: int, n: int) -> list[_RoundStream]:
     # would add to every interpreter's start-up.
     from numpy.random import Philox
 
-    width = _TABLE_WIDTH
-    raw = Philox(seed).random_raw((n, width))
-    table = array("d", ((raw >> 11) * _DOUBLE_UNIT).tobytes())
-    return [_RoundStream(table, i, width) for i in range(n)]
+    raw = Philox(seed).random_raw((n, _TABLE_WIDTH))
+    return array("d", ((raw >> 11) * _DOUBLE_UNIT).tobytes())
 
 
 # Uniforms per round in the session table.  The most any round reads is 14:
@@ -326,6 +324,17 @@ class _RoundStream(RandomSource):
         return self._table[pos]
 
 
+def _schedule(config: SessionConfig) -> tuple[bool, bool, bool]:
+    """(state sharing, sifting first, refined); see :func:`_play_round`."""
+    state_sharing = config.mode is Mode.STATE_SHARING
+    ordering = None if state_sharing else config.ordering
+    return (
+        state_sharing,
+        ordering is OrderingPolicy.SIFTING_FIRST,
+        ordering is OrderingPolicy.REFINED,
+    )
+
+
 def _prepare_round(
     config: SessionConfig, test_coin: bool, registry: PhotonRegistry, rng
 ) -> Preparation:
@@ -345,28 +354,37 @@ def _prepare_round(
     return prep
 
 
-def _initial_kind(config: SessionConfig, test_coin: bool) -> RoundKind:
-    if config.mode is Mode.STATE_SHARING:
-        return RoundKind.TEST if test_coin else RoundKind.MESSAGE
-    return RoundKind.TEST if test_coin else RoundKind.KEY
-
-
-def _physical_round(
+def _play_round(
     index: int,
     config: SessionConfig,
     adversary: ActiveAdversary | None,
     rng: _RoundStream,
 ) -> RoundRecord:
+    """Play one round from preparation to key recovery; return its record.
+
+    Every decision reads only this round's stream and registry, so the
+    public log can be written afterwards from the finished records.  Message
+    rounds carry no declaration and stop after transmission.
+
+    The schedules differ in three places only: whether detections are
+    declared before the designation (``SIFTING_FIRST``), whether a test
+    round's outcomes and bases interleave (``REFINED``), and whether a test
+    photon is measured only after designation (state-sharing mode, where
+    every ordering runs the designation-first schedule).
+    """
+    state_sharing, sifting, refined = _schedule(config)
+    bases = config.scheme.agent_bases
     registry = PhotonRegistry()
     test_coin = rng.coin(config.test_fraction)
-    prep = _prepare_round(config, test_coin, registry, rng)
+    if test_coin:
+        kind = RoundKind.TEST
+    else:
+        kind = RoundKind.MESSAGE if state_sharing else RoundKind.KEY
     rec = RoundRecord(
         round_id=index,
-        kind=_initial_kind(config, test_coin),
-        test_coin=test_coin,
-        preparation=prep,
+        kind=kind,
+        preparation=_prepare_round(config, test_coin, registry, rng),
         registry=registry,
-        _rng=rng,
     )
     if adversary is None:
         rec.delivered_bob = transmit(config.channel.eta, rng)
@@ -377,21 +395,68 @@ def _physical_round(
             registry.discard("C", rng)
     else:
         adversary.substitute(rec, rng)
-    if config.mode is Mode.CLASSICAL_KEY:
-        bases = config.scheme.agent_bases
-        if rec.delivered_charlie:
-            rec.charlie_basis, rec.charlie_outcome = registry.measure_random_basis(
-                rec.charlie_label, bases, rng
-            )
-        bob_now = (
-            rec.delivered_bob
-            if adversary is None
-            else adversary.bob_measures_immediately(rec)
+    if rec.kind is RoundKind.MESSAGE:
+        return rec
+    if rec.delivered_charlie:
+        # Charlie first, so factor merges stay small.  In state-sharing mode
+        # only test rounds get here: their photons are measured after the
+        # designation.
+        rec.charlie_basis, rec.charlie_outcome = registry.measure_random_basis(
+            rec.charlie_label, bases, rng
         )
-        if bob_now:
-            rec.bob_basis, rec.bob_outcome = registry.measure_random_basis(
-                "B", bases, rng
+    if not state_sharing and (
+        rec.delivered_bob
+        if adversary is None
+        else adversary.bob_measures_immediately(rec)
+    ):
+        rec.bob_basis, rec.bob_outcome = registry.measure_random_basis("B", bases, rng)
+
+    if adversary is None:
+        rec.declared_bob = rec.delivered_bob
+    elif sifting:
+        rec.declared_bob = adversary.sifting_declaration(rec, rng)
+    elif rec.kind is RoundKind.KEY:
+        rec.declared_bob = adversary.key_declaration(rec, rng)
+    elif rec.attacked:
+        adversary.respond_test(rec, rng, loss_branch_available=True, agent_bases=bases)
+    else:
+        rec.declared_bob = adversary.untouched_test_declaration(rec, rng)
+    if state_sharing and rec.declared_bob and rec.bob_outcome is None:
+        rec.bob_basis, rec.bob_outcome = registry.measure_random_basis("B", bases, rng)
+    rec.declared_charlie = rec.delivered_charlie
+    both = bool(rec.declared_bob and rec.declared_charlie)
+
+    if sifting:
+        # Hardened test rounds are fixed at preparation time; an undetected
+        # one simply yields no check data.  Otherwise designation happens
+        # among the rounds both agents declared detected.
+        if config.scheme is not Scheme.HARDENED_KKI and not both:
+            rec.kind = RoundKind.KEY
+        if rec.kind is RoundKind.TEST and rec.attacked and rec.declared_bob:
+            # The detection is already public; a wrong Bell outcome can no
+            # longer be converted into a loss.
+            adversary.respond_test(
+                rec, rng, loss_branch_available=False, agent_bases=bases
             )
+    if refined and rec.kind is RoundKind.TEST and both:
+        rec.charlie_first = rng.coin(0.5)
+    if rec.kind is not RoundKind.KEY or not rec.attack_mounted:
+        return rec
+    if rec.declared_bob and rec.bob_basis is None:
+        # A deferred attack never measured B: Bob announces a random basis
+        # plus (later, privately) a fabricated key bit.
+        rec.bob_basis = adversary.fake_key_basis(rng, bases)
+        rec.bob_outcome = +1 if rng.coin(0.5) else -1
+    # With the round's class public, the adversary reads off key bits from
+    # what it still holds: B and C parked, B' kept.
+    if both and registry.has("B") and registry.has("C"):
+        rec.recovered_dealer_bit = adversary.recover_dealer_bit(
+            rec, rec.preparation.basis_class, rng
+        )
+    if rec.declared_charlie and registry.has(FAKE_BOB):
+        rec.recovered_charlie_outcome = adversary.recover_charlie_outcome(
+            rec, rec.charlie_basis, rng
+        )
     return rec
 
 
@@ -419,23 +484,14 @@ def _dealer_reveal_payload(prep: Preparation) -> tuple[str, object]:
     }
 
 
-def _announce(
-    config: SessionConfig,
-    rounds: list[RoundRecord],
-    adversary: ActiveAdversary | None,
-) -> list[Announcement]:
-    """Run the public discussion over finished rounds; return it in order.
+def _public_log(config: SessionConfig, rounds: list[RoundRecord]) -> list[Announcement]:
+    """The public discussion of finished rounds, in announcement order.
 
-    The schedules differ in three places only: whether detections are
-    declared before the designation (``SIFTING_FIRST``), whether a test
-    round's outcomes and bases interleave (``REFINED``), and whether a test
-    photon is measured only after designation (state-sharing mode, where
-    every ordering runs the designation-first schedule).  Message rounds
-    carry no declaration, so every step below skips them.
-
-    Each round draws only from its own stream and registry, so a round's
-    later steps may run as soon as its own earlier ones have.
+    A pure read: every decision was made by :func:`_play_round`, so what is
+    announced is exactly what the records hold.  Message rounds carry no
+    declaration and are skipped throughout.
     """
+    _, sifting, refined = _schedule(config)
     log: list[Announcement] = []
 
     def emit(party: str, kind: str, round_id: int | None, payload) -> None:
@@ -445,66 +501,20 @@ def _announce(
         test_ids = tuple(r.round_id for r in rounds if r.kind is RoundKind.TEST)
         emit("alice", "designation", None, test_ids)
 
-    state_sharing = config.mode is Mode.STATE_SHARING
-    sifting = not state_sharing and config.ordering is OrderingPolicy.SIFTING_FIRST
-    refined = not state_sharing and config.ordering is OrderingPolicy.REFINED
-    bases = config.scheme.agent_bases
-
     if not sifting:
         designate()
-    for rec in rounds:
-        if rec.kind is RoundKind.MESSAGE:
-            continue
-        rng = rec._rng
-        if state_sharing and rec.delivered_charlie:
-            # Simulation order within the round: Charlie's measurement first
-            # so factor merges stay small; the operations act on disjoint
-            # photons, so announcement order is unaffected.
-            rec.charlie_basis, rec.charlie_outcome = rec.registry.measure_random_basis(
-                rec.charlie_label, bases, rng
-            )
-        if adversary is None:
-            rec.declared_bob = rec.delivered_bob
-        elif sifting:
-            rec.declared_bob = adversary.sifting_declaration(rec, rng)
-        elif rec.kind is RoundKind.KEY:
-            rec.declared_bob = adversary.key_declaration(rec, rng)
-        elif rec.attacked:
-            adversary.respond_test(
-                rec, rng, loss_branch_available=True, agent_bases=bases
-            )
-        else:
-            rec.declared_bob = adversary.untouched_test_declaration(rec, rng)
-        if state_sharing and rec.declared_bob and rec.bob_outcome is None:
-            rec.bob_basis, rec.bob_outcome = rec.registry.measure_random_basis(
-                "B", bases, rng
-            )
-        rec.declared_charlie = rec.delivered_charlie
     for rec in rounds:
         for party, declared, _, _ in _declarations(rec):
             if declared is not None:
                 emit(party, "detection", rec.round_id, bool(declared))
     if sifting:
-        # Hardened test rounds are fixed at preparation time; an undetected
-        # one simply yields no check data.  Otherwise designation happens
-        # among the rounds both agents declared detected.
-        if config.scheme is not Scheme.HARDENED_KKI:
-            for rec in rounds:
-                if rec.test_coin and not (rec.declared_bob and rec.declared_charlie):
-                    rec.kind = RoundKind.KEY
         designate()
 
     for rec in rounds:
         if rec.kind is not RoundKind.TEST:
             continue
-        if sifting and adversary is not None and rec.attacked and rec.declared_bob:
-            # The detection is already public; a wrong Bell outcome can no
-            # longer be converted into a loss.
-            adversary.respond_test(
-                rec, rec._rng, loss_branch_available=False, agent_bases=bases
-            )
         said = [d for d in _declarations(rec) if d[1]]
-        if refined and len(said) == 2 and rec._rng.coin(0.5):
+        if rec.charlie_first:
             said.reverse()
         for party, _, outcome, _ in said:
             emit(party, "outcome", rec.round_id, int(outcome))
@@ -515,12 +525,6 @@ def _announce(
     for rec in rounds:
         if rec.kind is RoundKind.MESSAGE or (refined and rec.kind is RoundKind.TEST):
             continue
-        if rec.kind is RoundKind.KEY and rec.declared_bob and rec.bob_basis is None:
-            # Only an attacked, deferred round can reach this point
-            # unmeasured: Bob never measured B and announces a random basis
-            # plus (later, privately) a fabricated key bit.
-            rec.bob_basis = adversary.fake_key_basis(rec._rng, bases)
-            rec.bob_outcome = +1 if rec._rng.coin(0.5) else -1
         for party, declared, _, basis in _declarations(rec):
             if declared and basis is not None:
                 emit(party, "basis", rec.round_id, basis.value)
@@ -528,25 +532,11 @@ def _announce(
     for rec in rounds:
         if rec.kind is RoundKind.MESSAGE:
             continue
-        both = bool(rec.declared_bob and rec.declared_charlie)
-        if both and _entangled(rec.preparation):
+        if rec.declared_bob and rec.declared_charlie and _entangled(rec.preparation):
             emit("alice", "class", rec.round_id, rec.preparation.basis_class)
         if rec.kind is RoundKind.TEST and (rec.declared_bob or rec.declared_charlie):
             kind, payload = _dealer_reveal_payload(rec.preparation)
             emit("alice", kind, rec.round_id, payload)
-        if adversary is None or rec.kind is not RoundKind.KEY or not rec.attack_mounted:
-            continue
-        # With the round's class public, the adversary reads off key bits
-        # from what it still holds: B and C parked, B' kept.
-        registry = rec.registry
-        if both and registry.has("B") and registry.has("C"):
-            rec.recovered_dealer_bit = adversary.recover_dealer_bit(
-                rec, rec.preparation.basis_class, rec._rng
-            )
-        if rec.declared_charlie and registry.has(FAKE_BOB):
-            rec.recovered_charlie_outcome = adversary.recover_charlie_outcome(
-                rec, rec.charlie_basis, rec._rng
-            )
     return log
 
 
@@ -561,16 +551,16 @@ def run_session(
     validate_session(config, strategy)
     active = strategy is not None and strategy.kind is not AttackKind.PASSIVE
     adversary = ActiveAdversary(strategy, config.channel) if active else None
-    streams = _round_streams(config.seed, config.rounds)
+    table = _uniform_table(config.seed, config.rounds)
     rounds = [
-        _physical_round(i, config, adversary, streams[i])
+        _play_round(i, config, adversary, _RoundStream(table, i, _TABLE_WIDTH))
         for i in range(config.rounds)
     ]
     return SessionTranscript(
         config=config,
         strategy=strategy,
         rounds=rounds,
-        announcements=_announce(config, rounds, adversary),
+        announcements=_public_log(config, rounds),
         attack_fraction=adversary.fraction if adversary is not None else None,
     )
 
@@ -866,15 +856,7 @@ def validate_announcement_order(transcript: SessionTranscript) -> None:
     refined interleave (first outcome declarer announces their basis last)
     holds for every test round.
     """
-    config = transcript.config
-    sifting = (
-        config.mode is Mode.CLASSICAL_KEY
-        and config.ordering is OrderingPolicy.SIFTING_FIRST
-    )
-    refined = (
-        config.mode is Mode.CLASSICAL_KEY
-        and config.ordering is OrderingPolicy.REFINED
-    )
+    _, sifting, refined = _schedule(transcript.config)
     ranks = _PHASE_RANKS
     if sifting:  # detections are declared before the designation
         ranks = {**_PHASE_RANKS, "detection": 0, "designation": 1}

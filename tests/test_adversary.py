@@ -264,7 +264,10 @@ class TestKeyRecovery:
         )
         for tag in SIGNAL_ORDER:
             prep = PreparedState.from_tag(tag)
-            rec = RoundRecord(0, RoundKind.KEY, False, prep, PhotonRegistry())
+            rec = RoundRecord(
+                round_id=0, kind=RoundKind.KEY, preparation=prep,
+                registry=PhotonRegistry(),
+            )
             rec.registry.add(signal_state(tag, ("B", "C")))
             bit = adversary.recover_dealer_bit(
                 rec, prep.basis_class, FixedUniform(TOP_UNIFORM)

@@ -16,7 +16,8 @@ from triqss.protocol import (
     RoundKind,
     Scheme,
     SessionConfig,
-    _round_streams,
+    _RoundStream,
+    _uniform_table,
     distill_keys,
     export_transcript_jsonl,
     extract_bits,
@@ -366,15 +367,17 @@ class TestRoundStreams:
     def test_rows_are_philox_uniforms(self, n):
         seed, width = 11, protocol._TABLE_WIDTH
         raw = np.random.Philox(seed).random_raw((10, width))
-        streams = _round_streams(seed, n)
+        table = _uniform_table(seed, n)
         for i in range(10):
             expected = ((raw[i] >> 11) * 2.0**-53).tolist()
-            assert [streams[i].random() for _ in range(width)] == expected, i
+            stream = _RoundStream(table, i, width)
+            assert [stream.random() for _ in range(width)] == expected, i
 
     def test_coin_pick_and_born_read_the_next_uniform(self):
-        reference = _round_streams(3, 1)[0]
+        table = _uniform_table(3, 1)
+        reference = _RoundStream(table, 0, protocol._TABLE_WIDTH)
         u = [reference.random() for _ in range(5)]
-        rng = _round_streams(3, 1)[0]
+        rng = _RoundStream(table, 0, protocol._TABLE_WIDTH)
         assert rng.pick(4) == int(u[0] * 4)
         assert rng.coin(u[1]) is False
         assert rng.coin(np.nextafter(u[2], 1.0)) is True
