@@ -113,8 +113,12 @@ class ActiveAdversary:
                 "an intercepting adversary needs eta_prime >= eta; "
                 f"got eta={channel.eta}, eta_prime={channel.eta_prime}"
             )
+        if channel.eta_prime <= 0.0:
+            raise ValueError("an intercepting adversary needs eta_prime > 0")
         self.strategy = strategy
         self.channel = channel
+        # Share of arrived photons declared, so declarations surface at eta.
+        self.keep = channel.eta / channel.eta_prime
         self.fraction = (
             strategy.attack_fraction
             if strategy.attack_fraction is not None
@@ -133,9 +137,8 @@ class ActiveAdversary:
         ``eta`` so the second agent's detection statistics stay untouched.
         Untouched rounds pass through with the same thinning on the far leg.
         """
-        ch = self.channel
         rec.attacked = rng.coin(self.fraction)
-        pair_arrived = rng.coin(ch.eta_prime)
+        pair_arrived = rng.coin(self.channel.eta_prime)
         if not pair_arrived:
             for label in ("B", "C"):
                 if rec.registry.has(label):
@@ -146,19 +149,18 @@ class ActiveAdversary:
                 rec.branch = "unattackable"
             return
         rec.delivered_bob = True
-        keep = ch.eta / ch.eta_prime
         if rec.attacked:
             rec.attack_mounted = True
             rec.registry.add(bell_state(BellOutcome.PHI_PLUS, (FAKE_BOB, FAKE_CHARLIE)))
             rec.charlie_label = FAKE_CHARLIE
-            rec.delivered_charlie = loss_filter(keep, rng)
+            rec.delivered_charlie = loss_filter(self.keep, rng)
             if not rec.delivered_charlie:
                 rec.registry.discard(FAKE_CHARLIE, rng)
             if self.strategy.kind is AttackKind.EARLY_BELL:
                 self._early_bell(rec, rng)
         else:
             rec.charlie_label = "C"
-            rec.delivered_charlie = loss_filter(keep, rng)
+            rec.delivered_charlie = loss_filter(self.keep, rng)
             if not rec.delivered_charlie:
                 rec.registry.discard("C", rng)
 
@@ -195,7 +197,7 @@ class ActiveAdversary:
             return not rec.attacked or rec.branch == "good"
         # Deferred strategy: nothing distinguishes rounds yet, so declare at
         # the honest-looking rate on every round, attacked or not.
-        return loss_filter(self.channel.eta / self.channel.eta_prime, rng)
+        return loss_filter(self.keep, rng)
 
     def untouched_test_declaration(self, rec, rng: RandomSource) -> bool:
         """Detection declaration for a non-attacked round designated as test.
@@ -212,7 +214,7 @@ class ActiveAdversary:
         if self.strategy.kind is AttackKind.EARLY_BELL:
             return True
         if isinstance(rec.preparation, HardenedPrep):
-            return loss_filter(self.channel.eta / self.channel.eta_prime, rng)
+            return loss_filter(self.keep, rng)
         return True
 
     def respond_test(
@@ -283,8 +285,7 @@ class ActiveAdversary:
         # hardened check will catch.  Declare at the advertised rate, unless
         # the detection is already public (sifting), which was thinned then.
         rec.branch = "skipped"
-        keep = self.channel.eta / self.channel.eta_prime
-        if not loss_branch_available or loss_filter(keep, rng):
+        if not loss_branch_available or loss_filter(self.keep, rng):
             rec.declared_bob = True
             rec.bob_basis, rec.bob_outcome = rec.registry.measure_random_basis(
                 "B", agent_bases, rng
@@ -298,7 +299,7 @@ class ActiveAdversary:
             return False
         if self.strategy.kind is AttackKind.EARLY_BELL:
             return not rec.attacked or rec.branch == "good"
-        return loss_filter(self.channel.eta / self.channel.eta_prime, rng)
+        return loss_filter(self.keep, rng)
 
     def fake_key_basis(self, rng: RandomSource, agent_bases) -> Basis:
         """Basis announced for an attacked key round (nothing was measured)."""

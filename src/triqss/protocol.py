@@ -36,6 +36,7 @@ import json
 from array import array
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -212,13 +213,22 @@ class RoundRecord:
 
 @dataclass
 class SessionTranscript:
-    """A finished session: configuration, per-round records, announcements."""
+    """A finished session: configuration, per-round records, announcements.
+
+    ``announcements``, the public log, is read from the finished records at
+    its first access and kept; a session whose log nobody reads never builds
+    it.  Assigning ``announcements`` replaces the log, so a tampered copy can
+    be handed to :func:`validate_announcement_order`.
+    """
 
     config: SessionConfig
     strategy: AttackStrategy | None
     rounds: list[RoundRecord]
-    announcements: list[Announcement]
     attack_fraction: float | None  # resolved fraction the adversary used
+
+    @cached_property
+    def announcements(self) -> list[Announcement]:
+        return _public_log(self.config, self.rounds)
 
 
 @dataclass(frozen=True)
@@ -359,6 +369,8 @@ def _play_round(
     config: SessionConfig,
     adversary: ActiveAdversary | None,
     rng: _RoundStream,
+    schedule: tuple[bool, bool, bool],
+    bases: tuple[Basis, ...],
 ) -> RoundRecord:
     """Play one round from preparation to key recovery; return its record.
 
@@ -370,10 +382,11 @@ def _play_round(
     declared before the designation (``SIFTING_FIRST``), whether a test
     round's outcomes and bases interleave (``REFINED``), and whether a test
     photon is measured only after designation (state-sharing mode, where
-    every ordering runs the designation-first schedule).
+    every ordering runs the designation-first schedule).  ``schedule`` is
+    ``_schedule(config)`` and ``bases`` is ``config.scheme.agent_bases``; the
+    caller computes both once per session.
     """
-    state_sharing, sifting, refined = _schedule(config)
-    bases = config.scheme.agent_bases
+    state_sharing, sifting, refined = schedule
     registry = PhotonRegistry()
     test_coin = rng.coin(config.test_fraction)
     if test_coin:
@@ -552,15 +565,18 @@ def run_session(
     active = strategy is not None and strategy.kind is not AttackKind.PASSIVE
     adversary = ActiveAdversary(strategy, config.channel) if active else None
     table = _uniform_table(config.seed, config.rounds)
+    schedule = _schedule(config)
+    bases = config.scheme.agent_bases
     rounds = [
-        _play_round(i, config, adversary, _RoundStream(table, i, _TABLE_WIDTH))
+        _play_round(
+            i, config, adversary, _RoundStream(table, i, _TABLE_WIDTH), schedule, bases
+        )
         for i in range(config.rounds)
     ]
     return SessionTranscript(
         config=config,
         strategy=strategy,
         rounds=rounds,
-        announcements=_public_log(config, rounds),
         attack_fraction=adversary.fraction if adversary is not None else None,
     )
 
@@ -927,6 +943,11 @@ def _prep_json(prep: Preparation) -> dict:
             "charlie_sign": prep.charlie_sign}
 
 
+# One encoder for every line: ``json.dumps`` with a keyword argument builds a
+# new ``JSONEncoder`` per call.  Same output as ``json.dumps(..., sort_keys=True)``.
+_JSON_LINE = json.JSONEncoder(sort_keys=True)
+
+
 def _announcement_json(a: Announcement) -> dict:
     payload = list(a.payload) if isinstance(a.payload, tuple) else a.payload
     return {"seq": a.seq, "party": a.party, "kind": a.kind, "payload": payload}
@@ -973,7 +994,7 @@ def export_transcript_jsonl(transcript: SessionTranscript, path: str) -> None:
         "announcements": [_announcement_json(a) for a in session_level],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        fh.write(_JSON_LINE.encode(header) + "\n")
         for rec in transcript.rounds:
             row = {
                 "record": "round",
@@ -995,4 +1016,4 @@ def export_transcript_jsonl(transcript: SessionTranscript, path: str) -> None:
                     _announcement_json(a) for a in by_round.get(rec.round_id, [])
                 ],
             }
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(_JSON_LINE.encode(row) + "\n")

@@ -18,6 +18,13 @@ and are immutable (frozen dataclasses over read-only arrays).  Sampling still
 draws the same uniforms in the same order, so a seed's trajectory does not
 depend on what the memo already holds.
 
+The enums that key those memos and the lookup tables (``Basis``,
+``PairBasis``, ``SignalTag``, ``BellOutcome``, ``PauliCorrection``) hash by
+identity, in C, instead of through ``Enum.__hash__``, a Python-level
+``hash(name)`` that an attacked round would otherwise run several times.  No
+output depends on hash values: ``Enum``'s own hash already varies with
+``PYTHONHASHSEED``, and the golden digests are checked under several seeds.
+
 Conventions
 -----------
 * Amplitudes are stored in the Z product basis with the *first* label as the
@@ -81,6 +88,8 @@ class RandomSource:
 class Basis(Enum):
     """Single-qubit measurement basis with an orthonormal eigenvector pair."""
 
+    __hash__ = object.__hash__  # see the module docstring
+
     Z = "Z"
     X = "X"
     Y = "Y"
@@ -113,6 +122,8 @@ for _b, (_p, _m) in _BASIS_VECTORS.items():
 class PauliCorrection(Enum):
     """Local unitaries used to repair teleported / swapped states."""
 
+    __hash__ = object.__hash__  # see the module docstring
+
     IDENTITY = "identity"
     SIGMA_X = "sigma_x"
     SIGMA_Z = "sigma_z"
@@ -137,6 +148,8 @@ for _mat in _PAULI_MATRICES.values():
 
 class BellOutcome(Enum):
     """The four maximally entangled two-qubit states / Bell outcomes."""
+
+    __hash__ = object.__hash__  # see the module docstring
 
     PHI_PLUS = "phi+"
     PHI_MINUS = "phi-"
@@ -176,6 +189,8 @@ class SignalTag(Enum):
     correlated.
     """
 
+    __hash__ = object.__hash__  # see the module docstring
+
     PSI_PLUS = "psi+"
     PHI_MINUS = "phi-"
     PSI_PLUS_ROT = "psi+r"
@@ -211,6 +226,8 @@ class PairBasis(Enum):
     the second-photon rotation for ``ROTATED_BELL``: there row 2 is the
     bit-0 rotated signal state (rotated ``psi+``) and row 1 the bit-1 one.
     """
+
+    __hash__ = object.__hash__  # see the module docstring
 
     BELL = "bell"
     ROTATED_BELL = "rotated-bell"

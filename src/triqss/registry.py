@@ -52,8 +52,8 @@ class PhotonRegistry:
         self._factors: list[StateVector] = []
 
     def add(self, state: StateVector) -> None:
-        existing = self.labels()
-        clash = existing & set(state.labels)
+        new = state.labels
+        clash = [label for f in self._factors for label in f.labels if label in new]
         if clash:
             raise ValueError(f"labels already registered: {sorted(clash)!r}")
         self._factors.append(state)

@@ -74,6 +74,10 @@ class TestStrategy:
                 AttackStrategy(), ChannelConfig(eta=0.6, eta_prime=0.3)
             )
 
+    def test_driver_rejects_a_dead_replacement_channel(self):
+        with pytest.raises(ValueError, match="eta_prime > 0"):
+            ActiveAdversary(AttackStrategy(), ChannelConfig(eta=0.0, eta_prime=0.0))
+
 
 def attacked_session(**overrides):
     """Full-interception session on a lossless channel."""

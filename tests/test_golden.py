@@ -12,8 +12,10 @@ uniform table per session.  That is the one planned stream change: it moves
 every sampled value, so every digest moved with it.  Before re-recording,
 all 36 cells were run at 100k rounds on both streams and every tally counter
 agreed under a Bonferroni-corrected two-proportion z-test (table in
-CHANGES.md).  The digests do not depend on ``PYTHONHASHSEED`` (checked with
-1 and 99).
+CHANGES.md).  The digests do not depend on ``PYTHONHASHSEED``:
+``test_digests_do_not_depend_on_hash_seed`` recomputes three cells, which
+between them reach every enum ``qcore`` hashes by identity, under seeds 1
+and 99.
 
 One pair moved later, alone, with a bug fix: ``hardened/sifting/classical``
 went from ``f375090d…``/``632cd0b9…`` to ``5b4641de…``/``f896696f…``.  An
@@ -31,9 +33,14 @@ CHANGES.md.  Any other change must leave them untouched.
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import triqss
 from triqss.harness import PRESET_NAMES, preset_experiment, run_experiment
 from triqss.protocol import Mode, OrderingPolicy, export_transcript_jsonl
 
@@ -255,3 +262,42 @@ def test_ordering_mode_output_is_byte_identical(name, ordering, mode, tmp_path):
     )
     expected = GRID_DIGESTS[(name, ordering, mode)]
     assert _digests(experiment, tmp_path / "t.jsonl") == expected
+
+
+# Cells that between them reach Basis, PairBasis, SignalTag, BellOutcome and
+# PauliCorrection, the enums that hash by identity.
+HASH_SEED_PRESETS = ("honest", "opaque-vulnerable", "hbb")
+
+_DIGESTS_SCRIPT = """
+import json, pathlib, sys
+from test_golden import GOLDEN_ROUNDS, GOLDEN_SEED, _digests
+from triqss.harness import preset_experiment
+path = pathlib.Path(sys.argv[1])
+print(json.dumps({
+    name: _digests(preset_experiment(name, rounds=GOLDEN_ROUNDS, seed=GOLDEN_SEED), path)
+    for name in sys.argv[2:]
+}))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "99"])
+def test_digests_do_not_depend_on_hash_seed(hash_seed, tmp_path):
+    paths = [
+        str(Path(triqss.__file__).resolve().parents[1]),
+        str(Path(__file__).resolve().parent),
+        os.environ.get("PYTHONPATH", ""),
+    ]
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": hash_seed,
+        "PYTHONPATH": os.pathsep.join(p for p in paths if p),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", _DIGESTS_SCRIPT, str(tmp_path / "t.jsonl"),
+         *HASH_SEED_PRESETS],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        name: list(GOLDEN_DIGESTS[name]) for name in HASH_SEED_PRESETS
+    }

@@ -1,6 +1,8 @@
 """Integration tests for session execution, announcements, and transcripts."""
 
+import copy
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -29,7 +31,7 @@ from triqss.adversary import AttackKind, AttackStrategy
 from triqss.conventions import correlated_bases
 from triqss.harness import PRESET_NAMES, preset_experiment, run_experiment
 from triqss.qcore import ATOL, overlap
-from test_golden import GOLDEN_SEED, GRID_PRESETS
+from test_golden import GOLDEN_DIGESTS, GOLDEN_ROUNDS, GOLDEN_SEED, GRID_PRESETS
 
 from helpers import TOP_UNIFORM, FixedUniform
 
@@ -182,21 +184,47 @@ class TestAnnouncementOrdering:
 
     def test_scrambled_log_is_rejected(self):
         transcript = run_session(honest_config(rounds=200))
-        corrupted = dataclasses.replace(
-            transcript, announcements=list(reversed(transcript.announcements))
-        )
+        corrupted = copy.copy(transcript)
+        corrupted.announcements = list(reversed(transcript.announcements))
         with pytest.raises(AnnouncementOrderError):
             validate_announcement_order(corrupted)
 
     def test_outcome_without_detection_is_rejected(self):
         transcript = run_session(honest_config(rounds=200))
-        announcements = [
+        corrupted = copy.copy(transcript)
+        corrupted.announcements = [
             a for a in transcript.announcements
             if not (a.kind == "detection" and a.party == "bob")
         ]
-        corrupted = dataclasses.replace(transcript, announcements=announcements)
         with pytest.raises(AnnouncementOrderError, match="without a declared"):
             validate_announcement_order(corrupted)
+
+    def test_log_is_built_at_first_read_only(self):
+        transcript = run_session(honest_config(rounds=200))
+        assert "announcements" not in vars(transcript)
+        log = transcript.announcements
+        assert log == protocol._public_log(transcript.config, transcript.rounds)
+        assert transcript.announcements is log
+
+    def test_experiment_without_transcripts_never_builds_the_log(self, monkeypatch):
+        experiment = preset_experiment(
+            "opaque-vulnerable", rounds=GOLDEN_ROUNDS, seed=GOLDEN_SEED
+        )
+        before = run_experiment(experiment)
+
+        def unread(config, rounds):
+            raise AssertionError("the public log was built")
+
+        monkeypatch.setattr(protocol, "_public_log", unread)
+        after = run_experiment(experiment, keep_transcripts=False)
+        assert after.tally == before.tally
+        tally_json = json.dumps(dataclasses.asdict(after.tally), sort_keys=True)
+        assert hashlib.sha256(tally_json.encode("utf-8")).hexdigest() == (
+            GOLDEN_DIGESTS["opaque-vulnerable"][1]
+        )
+        assert (after.key_bits, after.key_mismatches) == (
+            before.key_bits, before.key_mismatches
+        )
 
     def test_sifting_first_puts_detections_before_designation(self):
         transcript = run_session(
