@@ -53,7 +53,6 @@ from .protocol import (
     Scheme,
     SessionConfig,
     SessionTranscript,
-    check_eavesdropping,
     distill_keys,
     export_transcript_jsonl,
     extract_bits,
@@ -93,7 +92,6 @@ __all__ = [
     "SignalTag",
     "StateVector",
     "Table1Report",
-    "check_eavesdropping",
     "distill_keys",
     "export_transcript_jsonl",
     "extract_bits",

@@ -141,8 +141,7 @@ class ActiveAdversary:
         pair_arrived = rng.coin(self.channel.eta_prime)
         if not pair_arrived:
             for label in ("B", "C"):
-                if rec.registry.has(label):
-                    rec.registry.discard(label, rng)
+                rec.registry.discard(label, rng)
             rec.delivered_bob = False
             rec.delivered_charlie = False
             if rec.attacked:
@@ -152,14 +151,12 @@ class ActiveAdversary:
         if rec.attacked:
             rec.attack_mounted = True
             rec.registry.add(bell_state(BellOutcome.PHI_PLUS, (FAKE_BOB, FAKE_CHARLIE)))
-            rec.charlie_label = FAKE_CHARLIE
             rec.delivered_charlie = loss_filter(self.keep, rng)
             if not rec.delivered_charlie:
                 rec.registry.discard(FAKE_CHARLIE, rng)
             if self.strategy.kind is AttackKind.EARLY_BELL:
                 self._early_bell(rec, rng)
         else:
-            rec.charlie_label = "C"
             rec.delivered_charlie = loss_filter(self.keep, rng)
             if not rec.delivered_charlie:
                 rec.registry.discard("C", rng)

@@ -41,7 +41,13 @@ from typing import Union
 
 import numpy as np
 
-from .adversary import FAKE_BOB, ActiveAdversary, AttackKind, AttackStrategy
+from .adversary import (
+    FAKE_BOB,
+    FAKE_CHARLIE,
+    ActiveAdversary,
+    AttackKind,
+    AttackStrategy,
+)
 from .channel import ChannelConfig, transmit
 from .conventions import Scheme, convention_bit, correlated_bases, hbb_reduced_state
 from .preparation import (
@@ -78,7 +84,6 @@ __all__ = [
     "SessionTranscript",
     "CheckReport",
     "run_session",
-    "check_eavesdropping",
     "distill_keys",
     "extract_bits",
     "validate_announcement_order",
@@ -194,7 +199,6 @@ class RoundRecord:
     registry: PhotonRegistry
     delivered_bob: bool = False
     delivered_charlie: bool = False
-    charlie_label: str = "C"
     declared_bob: bool | None = None
     declared_charlie: bool | None = None
     bob_basis: Basis | None = None
@@ -255,12 +259,11 @@ def _entangled(prep: Preparation) -> bool:
     return not isinstance(prep, HardenedPrep)
 
 
-def _prep_state(prep: Preparation, labels: tuple[str, str] = ("B", "C")) -> StateVector:
+def _prep_state(prep: Preparation) -> StateVector:
     if isinstance(prep, PreparedState):
-        return prep.state(labels)
+        return prep.state()
     if isinstance(prep, HbbPrep):
-        state = hbb_reduced_state(prep.dealer_basis, prep.dealer_outcome)
-        return state.reordered(labels) if state.labels != labels else state
+        return hbb_reduced_state(prep.dealer_basis, prep.dealer_outcome)
     raise ValueError("hardened test rounds have no joint pair state")
 
 
@@ -415,7 +418,7 @@ def _play_round(
         # only test rounds get here: their photons are measured after the
         # designation.
         rec.charlie_basis, rec.charlie_outcome = registry.measure_random_basis(
-            rec.charlie_label, bases, rng
+            FAKE_CHARLIE if rec.attack_mounted else "C", bases, rng
         )
     if not state_sharing and (
         rec.delivered_bob
@@ -799,17 +802,6 @@ def evaluate_tally(tally: SessionTally, config: SessionConfig) -> CheckReport:
         errors_ok=errors_ok,
         verdict="secure" if (errors_ok and efficiency_ok) else "compromised",
     )
-
-
-def check_eavesdropping(
-    transcript: SessionTranscript, config: SessionConfig | None = None
-) -> CheckReport:
-    """Run the public error/efficiency check on a finished session.
-
-    Raises ``NoTestDataError`` (a ``ValueError``) when the transcript
-    contains no usable test data.
-    """
-    return evaluate_tally(tally_transcript(transcript), config or transcript.config)
 
 
 def distill_keys(

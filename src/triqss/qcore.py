@@ -9,10 +9,16 @@ per-round stream, and make every random decision through its ``coin``,
 Joint two-qubit measurements take a ``PairBasis`` member: the Bell basis or
 its rotated twin, the only two bases the protocol measures pairs in.
 
-A session revisits the same few states thousands of times, so the sampled
-kernels (``measure_qubit``, ``measure_two_qubit_basis`` and
-``apply_correction``) are memoized on the state's labels and amplitude bytes.
-Every outcome's Born probability and post-state is computed from the
+A session revisits the same few states thousands of times, so the kernels
+behind ``measure_qubit``, ``measure_two_qubit_basis`` and ``apply_correction``
+are memoized, each on its own arguments, the ``StateVector`` object among
+them.  A state is immutable and hashes by identity, so an entry can never go
+stale, and the memo holds the state alive, so its identity is never reused.
+Equal states are in practice the same object: every state a round measures
+starts as a cached constructor's result (``signal_state``, ``bell_state``,
+``ghz_state``, ``basis_ket``) and moves on only through memoized results,
+whose post-states are shared in turn.  A state built some other way is merely
+a miss.  Every outcome's Born probability and post-state is computed from the
 amplitudes once per distinct input; results are then shared between calls
 and are immutable (frozen dataclasses over read-only arrays).  Sampling still
 draws the same uniforms in the same order, so a seed's trajectory does not
@@ -425,23 +431,21 @@ def apply_correction(
     if correction is PauliCorrection.IDENTITY:
         state.axis(label)  # still validate the label
         return state
-    return _corrected(state.labels, state.amplitudes.tobytes(), label, correction)
+    return _corrected(state, label, correction)
 
 
-# Bound on each kernel memo.  All nine presets together put at most 122
-# entries in any one memo; the bound only caps what custom states can add.
+# Bound on each kernel memo.  All 54 preset x ordering x mode combinations,
+# 20k rounds each, together put 392 entries in the qubit memo and at most 20
+# in any other (seeds 11 and 12 alike); the bound only caps what custom
+# states can add.
 _MEMO_SIZE = 1024
-
-
-def _state_from_bytes(labels: tuple[str, ...], amplitudes: bytes) -> StateVector:
-    return StateVector._trusted(labels, np.frombuffer(amplitudes, dtype=complex))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _corrected(
-    labels: tuple[str, ...], amplitudes: bytes, label: str, correction: PauliCorrection
+    state: StateVector, label: str, correction: PauliCorrection
 ) -> StateVector:
-    return apply_unitary(_state_from_bytes(labels, amplitudes), label, correction.matrix)
+    return apply_unitary(state, label, correction.matrix)
 
 
 def _clamp_probability(p: float) -> float:
@@ -511,19 +515,11 @@ def measure_qubit(
 
     The measured qubit is removed from the returned post-state.
     """
-    results, cumulative = _qubit_branches(
-        state.labels, state.amplitudes.tobytes(), label, basis
-    )
+    results, cumulative = _qubit_kernel(state, label, basis)
     return results[rng.born(cumulative)]
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _qubit_branches(
-    labels: tuple[str, ...], amplitudes: bytes, label: str, basis: Basis
-) -> _Branches:
-    return _qubit_kernel(_state_from_bytes(labels, amplitudes), label, basis)
-
-
 def _qubit_kernel(state: StateVector, label: str, basis: Basis) -> _Branches:
     """The +1 and -1 branches of a single-qubit measurement."""
     plus_ket, minus_ket = basis.eigenvectors
@@ -544,19 +540,11 @@ def measure_two_qubit_basis(
     as the most significant bit.  The basis is part of the memo key, so an
     array in its place raises ``TypeError`` (unhashable).
     """
-    results, cumulative = _pair_branches(
-        state.labels, state.amplitudes.tobytes(), pair, basis
-    )
+    results, cumulative = _pair_kernel(state, pair, basis)
     return results[rng.born(cumulative)]
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _pair_branches(
-    labels: tuple[str, ...], amplitudes: bytes, pair: tuple[str, str], basis: PairBasis
-) -> _Branches:
-    return _pair_kernel(_state_from_bytes(labels, amplitudes), pair, basis)
-
-
 def _pair_kernel(
     state: StateVector, pair: tuple[str, str], basis: PairBasis
 ) -> _Branches:

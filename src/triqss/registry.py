@@ -31,7 +31,6 @@ from .qcore import (
     StateVector,
     _Branches,
     _branches_from_residuals,
-    _state_from_bytes,
     apply_correction,
     measure_qubit,
     measure_two_qubit_basis,
@@ -57,12 +56,6 @@ class PhotonRegistry:
         if clash:
             raise ValueError(f"labels already registered: {sorted(clash)!r}")
         self._factors.append(state)
-
-    def labels(self) -> set[str]:
-        out: set[str] = set()
-        for f in self._factors:
-            out.update(f.labels)
-        return out
 
     def has(self, label: str) -> bool:
         for f in self._factors:
@@ -130,7 +123,10 @@ class PhotonRegistry:
             else:
                 self._factors[i1] = result.post_state
             return result
-        result = self._measure_pair_across(i1, i2, pair, basis, rng)
+        results, cumulative = _across_kernel(
+            self._factors[i1], self._factors[i2], pair, basis
+        )
+        result = results[rng.born(cumulative)]
         for idx in sorted((i1, i2), reverse=True):
             del self._factors[idx]
         if result.post_state is not None:
@@ -147,41 +143,8 @@ class PhotonRegistry:
                 return i
         raise KeyError(f"no photon labeled {label!r}")
 
-    def _measure_pair_across(
-        self,
-        i1: int,
-        i2: int,
-        pair: tuple[str, str],
-        basis: PairBasis,
-        rng: RandomSource,
-    ) -> PairMeasurement:
-        f1 = self._factors[i1]
-        f2 = self._factors[i2]
-        results, cumulative = _across_branches(
-            f1.labels, f1.amplitudes.tobytes(),
-            f2.labels, f2.amplitudes.tobytes(),
-            pair, basis,
-        )
-        return results[rng.born(cumulative)]
-
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _across_branches(
-    labels1: tuple[str, ...],
-    amplitudes1: bytes,
-    labels2: tuple[str, ...],
-    amplitudes2: bytes,
-    pair: tuple[str, str],
-    basis: PairBasis,
-) -> _Branches:
-    return _across_kernel(
-        _state_from_bytes(labels1, amplitudes1),
-        _state_from_bytes(labels2, amplitudes2),
-        pair,
-        basis,
-    )
-
-
 def _across_kernel(
     f1: StateVector, f2: StateVector, pair: tuple[str, str], basis: PairBasis
 ) -> _Branches:

@@ -92,3 +92,8 @@ def factor_of(registry, label: str) -> StateVector:
     Raises ``KeyError`` when no factor does.
     """
     return registry._factors[registry._index_of(label)]
+
+
+def labels_of(registry) -> set[str]:
+    """Every photon label a ``PhotonRegistry`` holds, over all its factors."""
+    return {label for f in registry._factors for label in f.labels}

@@ -5,6 +5,10 @@ by ``import`` or ``from ... import`` must be loaded at least once, or be
 listed in the module's ``__all__`` (a re-export).  ``from __future__``
 imports are compiler directives and are skipped.
 
+Every top-level function and class in the package is read somewhere in the
+package, or is listed in an ``__all__``: a helper left behind when its last
+caller goes fails the scan.
+
 Every random decision in the package is a ``coin``, ``pick`` or ``born``
 draw: no ``.random()`` or ``.integers(...)`` call appears outside the
 classes that define those draws.
@@ -36,6 +40,15 @@ def exported(tree: ast.Module) -> set[str]:
     return set()
 
 
+def loaded(tree: ast.AST) -> set[str]:
+    """Every name the tree reads."""
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def unused_imports(source: str) -> list[str]:
     """``"line: name"`` for each imported name the source never reads."""
     tree = ast.parse(source)
@@ -47,12 +60,7 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    read = {
-        node.id
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-    }
-    read |= exported(tree)
+    read = loaded(tree) | exported(tree)
     return [
         f"{line}: {name}"
         for name, line in sorted(imported.items(), key=lambda item: item[1])
@@ -80,6 +88,38 @@ def test_the_scan_flags_only_unread_imports():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def orphans(sources: dict[str, str]) -> list[str]:
+    """``"module:line: name"`` for each top-level function or class that no
+    module of ``sources`` reads and no ``__all__`` lists."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = set().union(*(loaded(tree) | exported(tree) for tree in trees.values()))
+    return [
+        f"{module}:{node.lineno}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used
+    ]
+
+
+def test_the_orphan_scan_flags_only_unread_definitions():
+    sources = {
+        "a.py": (
+            "__all__ = ['Public']\n"
+            "class Public: pass\n"
+            "def _helper(): pass\n"
+            "def _orphan(): pass\n"
+        ),
+        "b.py": "from a import _helper\nclass B:\n    def _orphan(self): _helper()\n",
+    }
+    assert orphans(sources) == ["a.py:4: _orphan", "b.py:2: B"]
+
+
+def test_no_orphaned_definitions():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert orphans(sources) == []
 
 
 def raw_draws(source: str) -> list[str]:

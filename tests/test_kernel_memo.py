@@ -2,12 +2,13 @@
 
 ``measure_qubit``, ``measure_two_qubit_basis``, ``apply_correction`` and the
 registry's cross-factor pair measurement compute every branch of an input
-once and keep it.  The reference functions below are the loop versions they
-replaced, which compute the branches in row order and keep the one the
-uniform selects.  Each loop applies the sampling rules itself: a uniform past
-the first branch raises unless the total is within 1e-6 of 1, and a uniform
-past a total that rounding left short of 1.0 selects the last branch with
-positive probability.  Both are driven with the same fixed uniforms, placed
+once and keep it, in a memo keyed on the ``StateVector`` object itself.  The
+reference functions below are the loop versions they replaced, which compute
+the branches in row order and keep the one the uniform selects.  Each loop
+applies the sampling rules itself: a uniform past the first branch raises
+unless the total is within 1e-6 of 1, and a uniform past a total that
+rounding left short of 1.0 selects the last branch with positive
+probability.  Both are driven with the same fixed uniforms, placed
 on and just below every boundary of the cumulative Born probabilities, so
 every reachable branch is compared: outcome, probability and post-state
 amplitudes, byte for byte.  Joint measurements are compared in both
@@ -21,10 +22,12 @@ from triqss import qcore, registry
 from triqss.harness import PRESET_NAMES, preset_experiment, run_experiment
 from triqss.qcore import (
     Basis,
+    BellOutcome,
     Measurement,
     PairBasis,
     PairMeasurement,
     PauliCorrection,
+    SignalTag,
     StateVector,
     ZERO_PROB,
     _clamp_probability,
@@ -32,8 +35,12 @@ from triqss.qcore import (
     _qubit_residual,
     apply_correction,
     apply_unitary,
+    basis_ket,
+    bell_state,
+    ghz_state,
     measure_qubit,
     measure_two_qubit_basis,
+    signal_state,
 )
 from triqss.registry import PhotonRegistry
 
@@ -185,7 +192,7 @@ def check_qubit(state, label, basis):
     def reference(u):
         return reference_measure_qubit(state, label, basis, FixedUniform(u))
 
-    _, cumulative = qcore._qubit_kernel(state, label, basis)
+    _, cumulative = qcore._qubit_kernel.__wrapped__(state, label, basis)
     for u in probes([*cumulative, *walk_boundaries(reference)]):
         assert_same(measure_qubit(state, label, basis, FixedUniform(u)), reference(u))
 
@@ -194,23 +201,22 @@ def check_pair(state, pair, basis):
     def reference(u):
         return reference_measure_two_qubit_basis(state, pair, basis, FixedUniform(u))
 
-    _, cumulative = qcore._pair_kernel(state, pair, basis)
+    _, cumulative = qcore._pair_kernel.__wrapped__(state, pair, basis)
     for u in probes([*cumulative, *walk_boundaries(reference)]):
         result = measure_two_qubit_basis(state, pair, basis, FixedUniform(u))
         assert_same(result, reference(u))
 
 
 def check_across(f1, f2, pair, basis):
-    reg = PhotonRegistry()
-    reg.add(f1)
-    reg.add(f2)
-
     def reference(u):
         return reference_measure_pair_across(f1, f2, pair, basis, FixedUniform(u))
 
-    _, cumulative = registry._across_kernel(f1, f2, pair, basis)
+    _, cumulative = registry._across_kernel.__wrapped__(f1, f2, pair, basis)
     for u in probes([*cumulative, *walk_boundaries(reference)]):
-        result = reg._measure_pair_across(0, 1, pair, basis, FixedUniform(u))
+        reg = PhotonRegistry()
+        reg.add(f1)
+        reg.add(f2)
+        result = reg.measure_pair(pair, basis, FixedUniform(u))
         assert_same(result, reference(u))
 
 
@@ -221,62 +227,80 @@ def check_correction(state, label, correction):
     assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
 
-def state_of(labels, amplitudes):
-    return StateVector(labels, np.frombuffer(amplitudes, dtype=complex))
-
-
 # ---------------------------------------------------------------------------
 # Tests
 
 
+# The memoized kernels, each its own memo.
 MEMOS = (
-    (qcore, "_qubit_kernel", qcore._qubit_branches),
-    (qcore, "_pair_kernel", qcore._pair_branches),
-    (registry, "_across_kernel", registry._across_branches),
-    (qcore, "apply_unitary", qcore._corrected),
+    (qcore, "_qubit_kernel"),
+    (qcore, "_pair_kernel"),
+    (registry, "_across_kernel"),
+    (qcore, "_corrected"),
 )
 
 
-def test_every_entry_after_all_presets_equals_the_loop_kernels(monkeypatch):
-    # Each memo calls its kernel only on a miss, so recording the kernel
-    # calls enumerates exactly the memo's entries.
-    seen = {name: [] for _, name, _ in MEMOS}
-    for module, name, memo in MEMOS:
-        memo.cache_clear()
-        kernel = getattr(module, name)
+def identity_key(args):
+    """A call's arguments with each state replaced by its identity."""
+    return tuple(id(a) if isinstance(a, StateVector) else a for a in args)
 
-        def recorder(*args, _kernel=kernel, _calls=seen[name]):
-            _calls.append(args)
-            return _kernel(*args)
+
+def test_every_entry_after_all_presets_equals_the_loop_kernels(monkeypatch):
+    # Every distinct argument tuple, states compared by identity, is one
+    # entry; the recorder keeps the states alive so their ids stay unique.
+    # Equal counts of entries, misses and tuples show nothing was evicted.
+    seen = {name: {} for _, name in MEMOS}
+    for module, name in MEMOS:
+        memo = getattr(module, name)
+        memo.cache_clear()
+
+        def recorder(*args, _memo=memo, _calls=seen[name]):
+            _calls.setdefault(identity_key(args), args)
+            return _memo(*args)
 
         monkeypatch.setattr(module, name, recorder)
     for preset in PRESET_NAMES:
         run_experiment(preset_experiment(preset, rounds=2000, seed=11))
     monkeypatch.undo()
 
-    for _, name, memo in MEMOS:
-        info = memo.cache_info()
+    for module, name in MEMOS:
+        info = getattr(module, name).cache_info()
         assert info.currsize == info.misses == len(seen[name]) > 0, name
-    for state, label, basis in seen["_qubit_kernel"]:
-        check_qubit(state_of(state.labels, state.amplitudes.tobytes()), label, basis)
-    for state, pair, basis in seen["_pair_kernel"]:
-        check_pair(state_of(state.labels, state.amplitudes.tobytes()), pair, basis)
-    for f1, f2, pair, basis in seen["_across_kernel"]:
-        check_across(
-            state_of(f1.labels, f1.amplitudes.tobytes()),
-            state_of(f2.labels, f2.amplitudes.tobytes()),
-            pair,
-            basis,
-        )
-    for state, label, matrix in seen["apply_unitary"]:
-        correction = next(c for c in PauliCorrection if c.matrix is matrix)
-        check_correction(
-            state_of(state.labels, state.amplitudes.tobytes()), label, correction
-        )
+    for state, label, basis in seen["_qubit_kernel"].values():
+        check_qubit(state, label, basis)
+    for state, pair, basis in seen["_pair_kernel"].values():
+        check_pair(state, pair, basis)
+    for f1, f2, pair, basis in seen["_across_kernel"].values():
+        check_across(f1, f2, pair, basis)
+    for state, label, correction in seen["_corrected"].values():
+        check_correction(state, label, correction)
     print(
         "memo sizes after all presets:",
-        {name: memo.cache_info().currsize for _, name, memo in MEMOS},
+        {name: getattr(module, name).cache_info().currsize for module, name in MEMOS},
     )
+
+
+def test_repeated_calls_return_the_same_state_objects():
+    # The memos hit only on the very same state object, so equal states must
+    # be one object: the cached constructors and the memoized results.
+    for tag in SignalTag:
+        assert signal_state(tag, ("B", "C")) is signal_state(tag, ("B", "C"))
+    for kind in BellOutcome:
+        assert bell_state(kind, ("X", "Y")) is bell_state(kind, ("X", "Y"))
+    assert ghz_state(("A", "B", "C")) is ghz_state(("A", "B", "C"))
+    for basis in Basis:
+        for outcome in (+1, -1):
+            assert basis_ket(basis, outcome, "Q") is basis_ket(basis, outcome, "Q")
+    ghz = ghz_state(("A", "B", "C"))
+    for basis in Basis:
+        for u in (0.25, 0.75):
+            first = measure_qubit(ghz, "A", basis, FixedUniform(u))
+            assert measure_qubit(ghz, "A", basis, FixedUniform(u)) is first
+            assert first.post_state is not None
+    pair = signal_state(SignalTag.PSI_PLUS, ("B", "C"))
+    for correction in PauliCorrection:
+        first = apply_correction(pair, "C", correction)
+        assert apply_correction(pair, "C", correction) is first
 
 
 LABEL_SETS = (("A",), ("A", "B"), ("A", "B", "C"))
@@ -343,7 +367,7 @@ class TestNonCanonicalBasis:
     BAD = np.eye(4, dtype=complex) * np.array([1, 1, 1, 2])
 
     def test_rejected_on_every_call(self):
-        state = qcore.signal_state(qcore.SignalTag.PSI_PLUS, ("B", "C"))
+        state = signal_state(SignalTag.PSI_PLUS, ("B", "C"))
         for _ in range(3):
             for basis in PairBasis:
                 measure_two_qubit_basis(state, ("B", "C"), basis, FixedUniform(0.5))
