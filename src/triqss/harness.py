@@ -338,10 +338,14 @@ def sweep_pe(
     the largest fraction whose extra loss declarations stay hidden inside the
     honest loss budget.  Each row reports that formula value next to the
     fraction of rounds actually attacked, plus the observed per-leg
-    efficiencies (which the cheating keeps pinned at the honest ``eta``) and
-    the dealer's verdict.  As a side statistic, the loss-cheat rate among
-    mounted test-round interceptions is compared with its prediction of 1/2,
-    the chance that the swap lands on an unrepairable Bell outcome.
+    efficiencies and the dealer's verdict.  The cheating keeps each leg
+    pinned at the honest ``eta`` only while ``eta_prime <= 2 eta``.  Past
+    that the planned fraction is capped at 1, and Bob's leg reads above
+    ``eta``: ``opaque-vulnerable`` at (0.25, 1.0) and 20k rounds (seed 7)
+    reads 0.309 for Bob and the verdict ``compromised``.  As a side
+    statistic, the loss-cheat rate among mounted test-round interceptions is
+    compared with its prediction of 1/2, the chance that the swap lands on an
+    unrepairable Bell outcome.
     Replacement efficiencies below ``eta`` cannot hide any interception, so
     those points are skipped with a note.  A point whose session leaves no
     usable test data gets the note ``NO_TEST_DATA_NOTE`` and the sweep goes

@@ -37,6 +37,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Union
 
 import numpy as np
@@ -91,18 +92,26 @@ __all__ = [
 ]
 
 
+# Like the ``qcore`` enums, these hash by identity, in C, rather than through
+# the Python-level ``Enum.__hash__``: ``RoundKind`` keys every transcript line.
 class Mode(Enum):
+    __hash__ = object.__hash__
+
     CLASSICAL_KEY = "classical"
     STATE_SHARING = "state-sharing"
 
 
 class OrderingPolicy(Enum):
+    __hash__ = object.__hash__
+
     VULNERABLE = "vulnerable"
     REFINED = "refined"
     SIFTING_FIRST = "sifting"
 
 
 class RoundKind(Enum):
+    __hash__ = object.__hash__
+
     TEST = "test"
     KEY = "key"
     MESSAGE = "message"
@@ -936,13 +945,64 @@ def _prep_json(prep: Preparation) -> dict:
 
 
 # One encoder for every line: ``json.dumps`` with a keyword argument builds a
-# new ``JSONEncoder`` per call.  Same output as ``json.dumps(..., sort_keys=True)``.
+# new ``JSONEncoder`` per call.  Same output as ``json.dumps(..., sort_keys=True)``,
+# whose ", " and ": " separators ``_row_template`` relies on.
 _JSON_LINE = json.JSONEncoder(sort_keys=True)
 
+# Everything a round's line depends on apart from its round id and the seq
+# numbers: the record fields it writes, each of the type ``RoundRecord``
+# declares, and per announcement the party, kind and payload as the log holds
+# them.  The payload's class is part of it, since ``True == 1 == 1.0`` but each
+# encodes differently.
+_ROW_FIELDS = attrgetter(
+    "kind", "preparation", "attacked", "attack_mounted", "delivered_bob",
+    "delivered_charlie", "declared_bob", "declared_charlie", "bob_basis",
+    "charlie_basis", "bob_outcome", "charlie_outcome", "bell_outcome", "branch",
+)
+_ANNOUNCEMENT_FIELDS = attrgetter("party", "kind", "payload", "payload.__class__")
+_SEQ = attrgetter("seq")
 
-def _announcement_json(a: Announcement) -> dict:
-    payload = list(a.payload) if isinstance(a.payload, tuple) else a.payload
-    return {"seq": a.seq, "party": a.party, "kind": a.kind, "payload": payload}
+
+def _encoded_announcement_fields(a: Announcement) -> tuple:
+    """``_ANNOUNCEMENT_FIELDS`` with an unhashable payload (a dict) encoded."""
+    party, kind, payload, cls = _ANNOUNCEMENT_FIELDS(a)
+    try:
+        hash(payload)
+    except TypeError:
+        payload = _JSON_LINE.encode(payload)
+    return party, kind, payload, cls
+
+
+def _row_template(rec: RoundRecord, announcements: list[Announcement]) -> str:
+    """The round's line as a ``%`` template of its seq numbers, then its round id.
+
+    Sorted keys put ``announcements`` first and ``round_id`` last in a row,
+    and ``seq`` last in an announcement, so each number closes an encoded
+    part and the template is those parts joined around ``%d``.
+    """
+    fields = _JSON_LINE.encode({
+        "record": "round",
+        "kind": rec.kind.value,
+        "preparation": _prep_json(rec.preparation),
+        "attacked": rec.attacked,
+        "attack_mounted": rec.attack_mounted,
+        "delivered": {"bob": rec.delivered_bob, "charlie": rec.delivered_charlie},
+        "declared": {"bob": rec.declared_bob, "charlie": rec.declared_charlie},
+        "bases": {
+            "bob": rec.bob_basis.value if rec.bob_basis else None,
+            "charlie": rec.charlie_basis.value if rec.charlie_basis else None,
+        },
+        "outcomes": {"bob": rec.bob_outcome, "charlie": rec.charlie_outcome},
+        "bell_outcome": rec.bell_outcome.value if rec.bell_outcome else None,
+        "branch": rec.branch,
+    })
+    items = ", ".join(
+        _JSON_LINE.encode({"kind": a.kind, "party": a.party, "payload": a.payload})
+        [:-1].replace("%", "%%") + ', "seq": %d}'
+        for a in announcements
+    )
+    fields = fields[1:-1].replace("%", "%%")
+    return f'{{"announcements": [{items}], {fields}, "round_id": %d}}\n'
 
 
 def export_transcript_jsonl(transcript: SessionTranscript, path: str) -> None:
@@ -952,6 +1012,10 @@ def export_transcript_jsonl(transcript: SessionTranscript, path: str) -> None:
     strategy, session-level announcements such as the test designation);
     every following line is one round with its scoped announcements.  See
     ``docs/transcript_schema.md`` for the field-by-field description.
+
+    Rounds that differ only in their round id and seq numbers share a line
+    template, which is encoded once per session; every line is written as
+    soon as it is formatted.
     """
     config = transcript.config
     by_round: dict[int, list[Announcement]] = {}
@@ -983,29 +1047,27 @@ def export_transcript_jsonl(transcript: SessionTranscript, path: str) -> None:
             "attack_fraction": transcript.attack_fraction,
             "cheating_enabled": transcript.strategy.cheating_enabled,
         },
-        "announcements": [_announcement_json(a) for a in session_level],
+        "announcements": [
+            {"seq": a.seq, "party": a.party, "kind": a.kind, "payload": a.payload}
+            for a in session_level
+        ],
     }
+    templates: dict[tuple, str] = {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_JSON_LINE.encode(header) + "\n")
         for rec in transcript.rounds:
-            row = {
-                "record": "round",
-                "round_id": rec.round_id,
-                "kind": rec.kind.value,
-                "preparation": _prep_json(rec.preparation),
-                "attacked": rec.attacked,
-                "attack_mounted": rec.attack_mounted,
-                "delivered": {"bob": rec.delivered_bob, "charlie": rec.delivered_charlie},
-                "declared": {"bob": rec.declared_bob, "charlie": rec.declared_charlie},
-                "bases": {
-                    "bob": rec.bob_basis.value if rec.bob_basis else None,
-                    "charlie": rec.charlie_basis.value if rec.charlie_basis else None,
-                },
-                "outcomes": {"bob": rec.bob_outcome, "charlie": rec.charlie_outcome},
-                "bell_outcome": rec.bell_outcome.value if rec.bell_outcome else None,
-                "branch": rec.branch,
-                "announcements": [
-                    _announcement_json(a) for a in by_round.get(rec.round_id, [])
-                ],
-            }
-            fh.write(_JSON_LINE.encode(row) + "\n")
+            said = by_round.get(rec.round_id, ())
+            key = _ROW_FIELDS(rec)
+            if said:
+                key = (key, *map(_ANNOUNCEMENT_FIELDS, said))
+            try:
+                line = templates.get(key)
+            except TypeError:  # a dict payload: key it by its encoding
+                key = (key[0], *map(_encoded_announcement_fields, said))
+                line = templates.get(key)
+            if line is None:
+                line = templates[key] = _row_template(rec, said)
+            if said:
+                fh.write(line % (*map(_SEQ, said), rec.round_id))
+            else:
+                fh.write(line % rec.round_id)

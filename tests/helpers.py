@@ -9,10 +9,17 @@ are moved to the front and contracted with the vector in one product.
 The library draws from a ``RandomSource``; ``GeneratorSource`` puts a numpy
 ``Generator`` behind one, and ``FixedUniform`` feeds one uniform to every draw.
 ``TOP_UNIFORM`` is the largest uniform a session draws.
+
+``reference_jsonl`` is the transcript encoder the exporter started as: one
+sorted-key dict per line, encoded in full, with no template shared between
+rounds.  The exporter must write the same bytes.
 """
+
+import json
 
 import numpy as np
 
+from triqss.preparation import HbbPrep, PreparedState
 from triqss.qcore import ZERO_PROB, RandomSource, StateVector
 
 
@@ -97,3 +104,81 @@ def factor_of(registry, label: str) -> StateVector:
 def labels_of(registry) -> set[str]:
     """Every photon label a ``PhotonRegistry`` holds, over all its factors."""
     return {label for f in registry._factors for label in f.labels}
+
+
+def _prep_json(prep) -> dict:
+    if isinstance(prep, PreparedState):
+        return {"kind": "pair", "tag": prep.tag.value,
+                "class": prep.basis_class, "bit": prep.bit}
+    if isinstance(prep, HbbPrep):
+        return {"kind": "ghz", "dealer_basis": prep.dealer_basis.value,
+                "dealer_outcome": prep.dealer_outcome,
+                "class": prep.basis_class, "bit": prep.bit}
+    return {"kind": "hardened", "bob_basis": prep.bob_basis.value,
+            "bob_sign": prep.bob_sign, "charlie_basis": prep.charlie_basis.value,
+            "charlie_sign": prep.charlie_sign}
+
+
+def _announcement_json(a) -> dict:
+    payload = list(a.payload) if isinstance(a.payload, tuple) else a.payload
+    return {"seq": a.seq, "party": a.party, "kind": a.kind, "payload": payload}
+
+
+def reference_jsonl(transcript) -> str:
+    """The JSONL text of a transcript, one freshly encoded dict per line."""
+    config = transcript.config
+    by_round: dict[int, list] = {}
+    session_level = []
+    for a in transcript.announcements:
+        if a.round_id is None:
+            session_level.append(a)
+        else:
+            by_round.setdefault(a.round_id, []).append(a)
+    header = {
+        "record": "session",
+        "schema": 1,
+        "config": {
+            "eta": config.channel.eta,
+            "eta_prime": config.channel.eta_prime,
+            "rounds": config.rounds,
+            "test_fraction": config.test_fraction,
+            "ordering": config.ordering.value,
+            "mode": config.mode.value,
+            "scheme": config.scheme.value,
+            "error_threshold": config.error_threshold,
+            "efficiency_tolerance": config.efficiency_tolerance,
+            "seed": config.seed,
+        },
+        "strategy": None
+        if transcript.strategy is None
+        else {
+            "kind": transcript.strategy.kind.value,
+            "attack_fraction": transcript.attack_fraction,
+            "cheating_enabled": transcript.strategy.cheating_enabled,
+        },
+        "announcements": [_announcement_json(a) for a in session_level],
+    }
+    lines = [json.dumps(header, sort_keys=True)]
+    for rec in transcript.rounds:
+        row = {
+            "record": "round",
+            "round_id": rec.round_id,
+            "kind": rec.kind.value,
+            "preparation": _prep_json(rec.preparation),
+            "attacked": rec.attacked,
+            "attack_mounted": rec.attack_mounted,
+            "delivered": {"bob": rec.delivered_bob, "charlie": rec.delivered_charlie},
+            "declared": {"bob": rec.declared_bob, "charlie": rec.declared_charlie},
+            "bases": {
+                "bob": rec.bob_basis.value if rec.bob_basis else None,
+                "charlie": rec.charlie_basis.value if rec.charlie_basis else None,
+            },
+            "outcomes": {"bob": rec.bob_outcome, "charlie": rec.charlie_outcome},
+            "bell_outcome": rec.bell_outcome.value if rec.bell_outcome else None,
+            "branch": rec.branch,
+            "announcements": [
+                _announcement_json(a) for a in by_round.get(rec.round_id, [])
+            ],
+        }
+        lines.append(json.dumps(row, sort_keys=True))
+    return "".join(line + "\n" for line in lines)

@@ -13,9 +13,12 @@ every sampled value, so every digest moved with it.  Before re-recording,
 all 36 cells were run at 100k rounds on both streams and every tally counter
 agreed under a Bonferroni-corrected two-proportion z-test (table in
 CHANGES.md).  The digests do not depend on ``PYTHONHASHSEED``:
-``test_digests_do_not_depend_on_hash_seed`` recomputes three cells, which
-between them reach every enum ``qcore`` hashes by identity, under seeds 1
-and 99.
+``test_digests_do_not_depend_on_hash_seed`` recomputes three cells under
+seeds 1 and 99.  Between them they reach every enum that hashes by identity:
+``Basis``, ``PairBasis``, ``SignalTag``, ``BellOutcome`` and
+``PauliCorrection`` in ``qcore``, and ``RoundKind``, ``Mode`` and
+``OrderingPolicy`` in ``protocol``.  ``RoundKind`` keys the exporter's line
+templates.
 
 One pair moved later, alone, with a bug fix: ``hardened/sifting/classical``
 went from ``f375090d…``/``632cd0b9…`` to ``5b4641de…``/``f896696f…``.  An
@@ -264,8 +267,8 @@ def test_ordering_mode_output_is_byte_identical(name, ordering, mode, tmp_path):
     assert _digests(experiment, tmp_path / "t.jsonl") == expected
 
 
-# Cells that between them reach Basis, PairBasis, SignalTag, BellOutcome and
-# PauliCorrection, the enums that hash by identity.
+# Cells that between them reach every enum that hashes by identity (see the
+# module docstring).
 HASH_SEED_PRESETS = ("honest", "opaque-vulnerable", "hbb")
 
 _DIGESTS_SCRIPT = """
