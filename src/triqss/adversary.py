@@ -169,7 +169,6 @@ class ActiveAdversary:
         correction = _GOOD_OUTCOMES.get(outcome)
         if correction is None:
             rec.branch = "bad"
-            rec.declared_loss_cheat = True
         else:
             rec.branch = "good"
             rec.registry.apply("B", correction)  # only the honest-like B is left
@@ -187,14 +186,16 @@ class ActiveAdversary:
         return False  # deferred: keep everything unmeasured
 
     def sifting_declaration(self, rec, rng: RandomSource) -> bool:
-        """Detection declared before any designation exists (SiftingFirst)."""
+        """Detection declared before the designation (sifting) or for a key round."""
         if not rec.delivered_bob:
             return False
         if self.strategy.kind is AttackKind.EARLY_BELL:
             return not rec.attacked or rec.branch == "good"
-        # Deferred strategy: nothing distinguishes rounds yet, so declare at
-        # the honest-looking rate on every round, attacked or not.
+        # Deferred strategy: declare at the honest-looking rate on every
+        # round, attacked or not.
         return loss_filter(self.keep, rng)
+
+    key_declaration = sifting_declaration
 
     def untouched_test_declaration(self, rec, rng: RandomSource) -> bool:
         """Detection declaration for a non-attacked round designated as test.
@@ -231,8 +232,7 @@ class ActiveAdversary:
         product test rounds skip the pointless swap and are answered
         honestly at the advertised rate.
         """
-        if not rec.attack_mounted:
-            rec.branch = "unattackable"
+        if not rec.attack_mounted:  # lost on the way: already "unattackable"
             if rec.declared_bob is None:
                 rec.declared_bob = False
             return
@@ -255,7 +255,6 @@ class ActiveAdversary:
             )
         elif self.strategy.cheating_enabled and loss_branch_available:
             rec.branch = "bad"
-            rec.declared_loss_cheat = True
             rec.declared_bob = False
         else:
             rec.branch = "forced" if not loss_branch_available else "bad"
@@ -289,14 +288,6 @@ class ActiveAdversary:
             )
         else:
             rec.declared_bob = False
-
-    def key_declaration(self, rec, rng: RandomSource) -> bool:
-        """Detection declaration for a round designated a key round."""
-        if not rec.delivered_bob:
-            return False
-        if self.strategy.kind is AttackKind.EARLY_BELL:
-            return not rec.attacked or rec.branch == "good"
-        return loss_filter(self.keep, rng)
 
     def fake_key_basis(self, rng: RandomSource, agent_bases) -> Basis:
         """Basis announced for an attacked key round (nothing was measured)."""

@@ -35,6 +35,7 @@ from .harness import (
     write_sweep_json,
 )
 from .protocol import (
+    EFFICIENCY_TOLERANCE,
     ConfigError,
     Mode,
     NoTestDataError,
@@ -194,7 +195,7 @@ def _print_run_summary(report) -> None:
         f"efficiency: bob {_fmt(check.observed_efficiency_bob, 3)}, "
         f"charlie {_fmt(check.observed_efficiency_charlie, 3)} "
         f"(expected {check.expected_efficiency} "
-        f"+/- {session.efficiency_tolerance})"
+        f"+/- {EFFICIENCY_TOLERANCE})"
     )
     print(f"sift rate: {_fmt(check.sift_rate, 3)}")
     print(

@@ -45,8 +45,23 @@ class Scheme(Enum):
         return (Basis.Z, Basis.X)
 
 
-# Dealer basis -> announced class for the GHZ scheme.
+# What a preparation encodes: (basis class, dealer bit) by signal tag; for the
+# GHZ scheme the dealer's basis gives the class and her outcome the bit.
+CLASS_BIT_OF_TAG = {
+    SignalTag.PSI_PLUS: (1, 0),
+    SignalTag.PHI_MINUS: (1, 1),
+    SignalTag.PSI_PLUS_ROT: (2, 0),
+    SignalTag.PHI_MINUS_ROT: (2, 1),
+}
 HBB_CLASS_OF_BASIS = {Basis.X: 1, Basis.Y: 2}
+
+
+def hbb_dealer_bit(outcome: int) -> int:
+    """GHZ dealer's key bit for her own measurement outcome (+1 -> 0)."""
+    if outcome not in (+1, -1):
+        raise ValueError(f"outcome must be +1 or -1, got {outcome}")
+    return 0 if outcome == +1 else 1
+
 
 _DATA_FILE = "bit_conventions.json"
 _PROB_ATOL = 1e-9
@@ -73,30 +88,19 @@ def hbb_reduced_state(alice_basis: Basis, outcome: int) -> StateVector:
 
 def _class_states(scheme: Scheme) -> dict[int, dict[int, StateVector]]:
     """Map basis class -> dealer bit -> two-qubit state over (B, C)."""
+    states: dict[int, dict[int, StateVector]] = {}
     if scheme is Scheme.KKI:
-        return {
-            1: {
-                0: signal_state(SignalTag.PSI_PLUS),
-                1: signal_state(SignalTag.PHI_MINUS),
-            },
-            2: {
-                0: signal_state(SignalTag.PSI_PLUS_ROT),
-                1: signal_state(SignalTag.PHI_MINUS_ROT),
-            },
-        }
-    if scheme is Scheme.HBB:
-        # Dealer bit convention: outcome +1 encodes bit 0.
-        return {
-            1: {
-                0: hbb_reduced_state(Basis.X, +1),
-                1: hbb_reduced_state(Basis.X, -1),
-            },
-            2: {
-                0: hbb_reduced_state(Basis.Y, +1),
-                1: hbb_reduced_state(Basis.Y, -1),
-            },
-        }
-    raise ValueError(f"unknown scheme: {scheme!r}")
+        for tag, (basis_class, bit) in CLASS_BIT_OF_TAG.items():
+            states.setdefault(basis_class, {})[bit] = signal_state(tag)
+    elif scheme is Scheme.HBB:
+        for basis, basis_class in HBB_CLASS_OF_BASIS.items():
+            for outcome in (+1, -1):
+                states.setdefault(basis_class, {})[hbb_dealer_bit(outcome)] = (
+                    hbb_reduced_state(basis, outcome)
+                )
+    else:
+        raise ValueError(f"unknown scheme: {scheme!r}")
+    return states
 
 
 def _pair_distribution(
@@ -267,9 +271,3 @@ def convention_bit(
         )
     return rule[party][outcome]
 
-
-def hbb_dealer_bit(outcome: int) -> int:
-    """GHZ dealer's key bit for her own measurement outcome (+1 -> 0)."""
-    if outcome not in (+1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    return 0 if outcome == +1 else 1

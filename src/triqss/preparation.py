@@ -12,9 +12,10 @@ Three kinds of round leave the dealer's lab:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import product
 
-from .conventions import HBB_CLASS_OF_BASIS, hbb_dealer_bit
+from .conventions import CLASS_BIT_OF_TAG, HBB_CLASS_OF_BASIS, hbb_dealer_bit
 from .qcore import (
     Basis,
     Measurement,
@@ -26,30 +27,19 @@ from .qcore import (
     signal_state,
 )
 
-# tag -> (basis class, dealer bit)
-_TAG_CLASS_BIT: dict[SignalTag, tuple[int, int]] = {
-    SignalTag.PSI_PLUS: (1, 0),
-    SignalTag.PHI_MINUS: (1, 1),
-    SignalTag.PSI_PLUS_ROT: (2, 0),
-    SignalTag.PHI_MINUS_ROT: (2, 1),
-}
-
 
 @dataclass(frozen=True)
 class PreparedState:
     """An entangled-pair round: which signal state was sent and what it encodes."""
 
     tag: SignalTag
-    basis_class: int
-    bit: int
+    basis_class: int = field(init=False)
+    bit: int = field(init=False)
 
     def __post_init__(self) -> None:
-        expected = _TAG_CLASS_BIT[self.tag]
-        if (self.basis_class, self.bit) != expected:
-            raise ValueError(
-                f"tag {self.tag.value} encodes class/bit {expected}, "
-                f"got {(self.basis_class, self.bit)}"
-            )
+        basis_class, bit = CLASS_BIT_OF_TAG[self.tag]
+        object.__setattr__(self, "basis_class", basis_class)
+        object.__setattr__(self, "bit", bit)
 
     @classmethod
     def from_tag(cls, tag: SignalTag) -> "PreparedState":
@@ -59,29 +49,22 @@ class PreparedState:
         return signal_state(self.tag, labels)
 
 
-# The four possible preparations, built (and checked) once.
-_PREPARED_BY_TAG = {
-    tag: PreparedState(tag, *class_bit) for tag, class_bit in _TAG_CLASS_BIT.items()
-}
-
-
 @dataclass(frozen=True)
 class HbbPrep:
     """A GHZ round after the dealer measured her own photon."""
 
     dealer_basis: Basis
     dealer_outcome: int
-    basis_class: int
-    bit: int
+    basis_class: int = field(init=False)
+    bit: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "basis_class", HBB_CLASS_OF_BASIS[self.dealer_basis])
+        object.__setattr__(self, "bit", hbb_dealer_bit(self.dealer_outcome))
 
     @classmethod
     def from_measurement(cls, dealer_basis: Basis, outcome: int) -> "HbbPrep":
-        return cls(
-            dealer_basis=dealer_basis,
-            dealer_outcome=outcome,
-            basis_class=HBB_CLASS_OF_BASIS[dealer_basis],
-            bit=hbb_dealer_bit(outcome),
-        )
+        return _HBB_BY_MEASUREMENT[(dealer_basis, outcome)]
 
 
 @dataclass(frozen=True)
@@ -92,6 +75,18 @@ class HardenedPrep:
     bob_sign: int
     charlie_basis: Basis
     charlie_sign: int
+
+
+# Every possible preparation, built once (which reads its class and bit off the
+# ``conventions`` tables) and shared by the rounds that draw it.
+_PREPARED_BY_TAG = {tag: PreparedState(tag) for tag in CLASS_BIT_OF_TAG}
+_HBB_BY_MEASUREMENT = {
+    key: HbbPrep(*key) for key in product(HBB_CLASS_OF_BASIS, (+1, -1))
+}
+_HARDENED_BASES = (Basis.Z, Basis.X)
+_HARDENED_BY_DRAW = {
+    key: HardenedPrep(*key) for key in product(_HARDENED_BASES, (+1, -1), repeat=2)
+}
 
 
 def hbb_reduce(
@@ -119,12 +114,11 @@ def prepare_hardened_test_round(
     labels: tuple[str, str] = ("B", "C"),
 ) -> tuple[HardenedPrep, StateVector, StateVector]:
     """Draw a hardened test round: random basis and eigenstate per leg."""
-    bases = (Basis.Z, Basis.X)
-    bob_basis = bases[rng.pick(2)]
+    bob_basis = _HARDENED_BASES[rng.pick(2)]
     bob_sign = +1 if rng.coin(0.5) else -1
-    charlie_basis = bases[rng.pick(2)]
+    charlie_basis = _HARDENED_BASES[rng.pick(2)]
     charlie_sign = +1 if rng.coin(0.5) else -1
-    prep = HardenedPrep(bob_basis, bob_sign, charlie_basis, charlie_sign)
+    prep = _HARDENED_BY_DRAW[(bob_basis, bob_sign, charlie_basis, charlie_sign)]
     return (
         prep,
         basis_ket(bob_basis, bob_sign, labels[0]),

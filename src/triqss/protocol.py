@@ -142,7 +142,11 @@ def _is_real(value) -> bool:
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Everything a session needs apart from the adversary's strategy."""
+    """Everything a session needs apart from the adversary's strategy.
+
+    The check's thresholds are the fixed ``ERROR_THRESHOLD`` and
+    ``EFFICIENCY_TOLERANCE``, the same for every session.
+    """
 
     channel: ChannelConfig
     rounds: int = 10_000
@@ -150,8 +154,6 @@ class SessionConfig:
     ordering: OrderingPolicy = OrderingPolicy.VULNERABLE
     mode: Mode = Mode.CLASSICAL_KEY
     scheme: Scheme = Scheme.KKI
-    error_threshold: float = 0.02
-    efficiency_tolerance: float = 0.03
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -167,12 +169,11 @@ class SessionConfig:
                 )
         if not _is_int(self.rounds) or self.rounds < 1:
             raise ConfigError("rounds", f"need a positive integer, got {self.rounds!r}")
-        for name in ("test_fraction", "error_threshold", "efficiency_tolerance"):
-            value = getattr(self, name)
-            if not (_is_real(value) and 0.0 < value < 1.0):
-                raise ConfigError(
-                    name, f"must be a number strictly in (0, 1), got {value!r}"
-                )
+        if not (_is_real(self.test_fraction) and 0.0 < self.test_fraction < 1.0):
+            raise ConfigError(
+                "test_fraction",
+                f"must be a number strictly in (0, 1), got {self.test_fraction!r}",
+            )
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed", f"need a non-negative integer, got {self.seed!r}")
 
@@ -200,6 +201,7 @@ class RoundRecord:
     e.g. message rounds).  Announced outcomes exist only for rounds whose
     photon was delivered, declared, and measured.  ``charlie_first`` is the
     ``REFINED`` speaking-order coin of a test round both agents declared.
+    A loss cheat is a ``"bad"`` ``branch`` with ``declared_bob`` False.
     """
 
     round_id: int
@@ -218,7 +220,6 @@ class RoundRecord:
     attack_mounted: bool = False
     bell_outcome: BellOutcome | None = None
     branch: str | None = None
-    declared_loss_cheat: bool = False
     recovered_dealer_bit: int | None = None
     recovered_charlie_outcome: int | None = None
     charlie_first: bool = False
@@ -667,13 +668,13 @@ class SessionTally:
 
 def _tally_message_round(rec: RoundRecord, tally: SessionTally) -> None:
     tally.message_rounds += 1
-    mounted = rec.attacked and rec.attack_mounted
+    mounted = rec.attack_mounted
     if mounted:
         tally.attacked_message_mounted += 1
     elif not (rec.delivered_bob and rec.delivered_charlie and not rec.attacked):
         return
     joint = rec.registry.joint_state(("B", "C"))
-    if joint is None or not _entangled(rec.preparation):
+    if joint is None:
         return
     ov = overlap(joint, _prep_state(rec.preparation))
     intact = int(ov >= 1.0 - ATOL)
@@ -719,7 +720,7 @@ def tally_transcript(transcript: SessionTranscript) -> SessionTally:
                     tally.charlie_leg_errors += 1
         else:
             correlated = False
-            if both and rec.bob_basis is not None and rec.charlie_basis is not None:
+            if both:
                 tally.basis_rounds += 1
                 correlated = correlated_bases(
                     prep.basis_class, rec.bob_basis, rec.charlie_basis, config.scheme
@@ -736,7 +737,7 @@ def tally_transcript(transcript: SessionTranscript) -> SessionTally:
                     tally.bad_bell_errors += int(error)
             if rec.kind is RoundKind.KEY and correlated:
                 tally.key_sifted += 1
-                if rec.attacked and rec.attack_mounted:
+                if rec.attack_mounted:
                     tally.key_sifted_attacked += 1
                     if rec.recovered_dealer_bit is not None:
                         tally.dealer_bit_recoveries += 1
@@ -753,10 +754,18 @@ def tally_transcript(transcript: SessionTranscript) -> SessionTally:
             tally.attacked_test_declared += int(bool(rec.declared_bob))
             if rec.attack_mounted:
                 tally.attacked_test_mounted += 1
-                tally.attacked_test_loss_declared += int(rec.declared_loss_cheat)
+                tally.attacked_test_loss_declared += int(
+                    rec.branch == "bad" and rec.declared_bob is False
+                )
                 if rec.branch in ("bad", "forced"):
                     tally.bad_bell += 1
     return tally
+
+
+# The public check's bounds on the test error rate and on each leg's distance
+# from eta; fixed for every session, and written to each transcript header.
+ERROR_THRESHOLD = 0.02
+EFFICIENCY_TOLERANCE = 0.03
 
 
 def evaluate_tally(tally: SessionTally, config: SessionConfig) -> CheckReport:
@@ -779,7 +788,7 @@ def evaluate_tally(tally: SessionTally, config: SessionConfig) -> CheckReport:
         test_errors = tally.bob_leg_errors + tally.charlie_leg_errors
         error_rate = max(bob_rate, charlie_rate)
         ci = wilson_interval(worst_errors, worst_checked)
-        errors_ok = error_rate <= config.error_threshold
+        errors_ok = error_rate <= ERROR_THRESHOLD
         leg_rates = (bob_rate, charlie_rate)
     else:
         if tally.test_checked == 0:
@@ -788,12 +797,12 @@ def evaluate_tally(tally: SessionTally, config: SessionConfig) -> CheckReport:
         test_errors = tally.test_errors
         error_rate = ratio(test_errors, test_checked)
         ci = wilson_interval(test_errors, test_checked)
-        errors_ok = error_rate <= config.error_threshold
+        errors_ok = error_rate <= ERROR_THRESHOLD
         leg_rates = (None, None)
     eff_bob = ratio(tally.bob_declared, tally.bob_obligation)
     eff_charlie = ratio(tally.charlie_declared, tally.charlie_obligation)
     eta = config.channel.eta
-    tol = config.efficiency_tolerance
+    tol = EFFICIENCY_TOLERANCE
     efficiency_ok = abs(eff_bob - eta) <= tol and abs(eff_charlie - eta) <= tol
     return CheckReport(
         rounds=tally.rounds,
@@ -1036,8 +1045,8 @@ def export_transcript_jsonl(transcript: SessionTranscript, path: str) -> None:
             "ordering": config.ordering.value,
             "mode": config.mode.value,
             "scheme": config.scheme.value,
-            "error_threshold": config.error_threshold,
-            "efficiency_tolerance": config.efficiency_tolerance,
+            "error_threshold": ERROR_THRESHOLD,
+            "efficiency_tolerance": EFFICIENCY_TOLERANCE,
             "seed": config.seed,
         },
         "strategy": None

@@ -20,6 +20,7 @@ import json
 import numpy as np
 
 from triqss.preparation import HbbPrep, PreparedState
+from triqss.protocol import EFFICIENCY_TOLERANCE, ERROR_THRESHOLD
 from triqss.qcore import ZERO_PROB, RandomSource, StateVector
 
 
@@ -145,8 +146,8 @@ def reference_jsonl(transcript) -> str:
             "ordering": config.ordering.value,
             "mode": config.mode.value,
             "scheme": config.scheme.value,
-            "error_threshold": config.error_threshold,
-            "efficiency_tolerance": config.efficiency_tolerance,
+            "error_threshold": ERROR_THRESHOLD,
+            "efficiency_tolerance": EFFICIENCY_TOLERANCE,
             "seed": config.seed,
         },
         "strategy": None

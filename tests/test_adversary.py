@@ -18,6 +18,7 @@ from triqss.protocol import (
     RoundRecord,
     SessionConfig,
     run_session,
+    tally_transcript,
 )
 from triqss.preparation import PreparedState
 from triqss.qcore import SIGNAL_ORDER, BellOutcome, signal_state
@@ -206,17 +207,22 @@ class TestNoCheatBranches:
 
 class TestLossCheating:
     def test_bad_branches_become_declared_losses(self):
+        # A loss cheat is a "bad" branch declared undetected; the tally counts
+        # exactly those rounds.
         transcript = attacked_session(rounds=3000)
         mounted = declared_lost = 0
         for rec in transcript.rounds:
             if rec.kind is not RoundKind.TEST or not rec.attack_mounted:
                 continue
             mounted += 1
-            if rec.declared_loss_cheat:
+            if rec.branch == "bad":
                 declared_lost += 1
                 assert rec.declared_bob is False
         assert mounted > 400
         assert declared_lost / mounted == pytest.approx(0.5, abs=0.04)
+        tally = tally_transcript(transcript)
+        assert tally.attacked_test_mounted == mounted
+        assert tally.attacked_test_loss_declared == declared_lost
 
     def test_surviving_test_rounds_are_error_free(self):
         transcript = attacked_session(rounds=3000)

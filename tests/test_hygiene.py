@@ -12,6 +12,9 @@ caller goes fails the scan.
 Every random decision in the package is a ``coin``, ``pick`` or ``born``
 draw: no ``.random()`` or ``.integers(...)`` call appears outside the
 classes that define those draws.
+
+No two functions or methods in the package have the same body of two
+statements or more (docstrings aside): one body serves both names instead.
 """
 
 import ast
@@ -157,3 +160,56 @@ def test_the_draw_scan_flags_only_calls_outside_the_draw_classes():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_every_random_decision_is_a_named_draw(path):
     assert raw_draws(path.read_text(encoding="utf-8")) == []
+
+
+def duplicate_bodies(sources: dict[str, str]) -> list[str]:
+    """``"first = repeat"`` (each ``"module:line: name"``) for each function
+    whose body, docstring stripped, repeats an earlier one's; bodies of one
+    statement are skipped."""
+    first: dict[tuple[str, ...], str] = {}
+    repeats = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            if len(body) < 2:
+                continue
+            key = tuple(map(ast.dump, body))
+            where = f"{module}:{node.lineno}: {node.name}"
+            if key in first:
+                repeats.append(f"{first[key]} = {where}")
+            else:
+                first[key] = where
+    return repeats
+
+
+def test_the_body_scan_flags_only_repeated_bodies():
+    sources = {
+        "a.py": (
+            "def f(x):\n"
+            '    """Doc."""\n'
+            "    y = x + 1\n"
+            "    return y\n"
+            "def g(x):\n"
+            "    return x\n"
+            "def h(x):\n"
+            "    return x\n"
+            "def k(x):\n"
+            "    y = x + 2\n"
+            "    return y\n"
+        ),
+        "b.py": (
+            "class C:\n"
+            "    def m(self, x):\n"
+            '        """Other doc."""\n'
+            "        y = x + 1\n"
+            "        return y\n"
+        ),
+    }
+    assert duplicate_bodies(sources) == ["a.py:1: f = b.py:2: m"]
+
+
+def test_no_repeated_function_bodies():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert duplicate_bodies(sources) == []

@@ -46,10 +46,6 @@ class TestPreparedState:
         assert prep.bit == bit
         assert prep.state().labels == ("B", "C")
 
-    def test_rejects_inconsistent_fields(self):
-        with pytest.raises(ValueError, match="encodes class/bit"):
-            PreparedState(SignalTag.PSI_PLUS, 2, 0)
-
     def test_state_uses_requested_labels(self):
         prep = PreparedState.from_tag(SignalTag.PHI_MINUS)
         assert prep.state(("B'", "C'")).labels == ("B'", "C'")

@@ -61,12 +61,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="test_fraction"):
             honest_config(test_fraction=fraction)
 
-    def test_rejects_bad_thresholds(self):
-        with pytest.raises(ConfigError, match="error_threshold"):
-            honest_config(error_threshold=0.0)
-        with pytest.raises(ConfigError, match="efficiency_tolerance"):
-            honest_config(efficiency_tolerance=1.0)
-
     def test_rejects_bad_seed_and_channel(self):
         with pytest.raises(ConfigError, match="seed"):
             honest_config(seed=-1)
