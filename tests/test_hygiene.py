@@ -175,12 +175,10 @@ def duplicate_bodies(sources: dict[str, str]) -> list[str]:
             body = node.body[1:] if ast.get_docstring(node) is not None else node.body
             if len(body) < 2:
                 continue
-            key = tuple(map(ast.dump, body))
             where = f"{module}:{node.lineno}: {node.name}"
-            if key in first:
-                repeats.append(f"{first[key]} = {where}")
-            else:
-                first[key] = where
+            seen = first.setdefault(tuple(map(ast.dump, body)), where)
+            if seen != where:
+                repeats.append(f"{seen} = {where}")
     return repeats
 
 

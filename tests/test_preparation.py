@@ -45,6 +45,7 @@ class TestPreparedState:
         assert prep.basis_class == basis_class
         assert prep.bit == bit
         assert prep.state().labels == ("B", "C")
+        assert PreparedState(tag) == prep
 
     def test_state_uses_requested_labels(self):
         prep = PreparedState.from_tag(SignalTag.PHI_MINUS)
@@ -67,6 +68,8 @@ class TestHbbPrep:
         assert prep.dealer_outcome == outcome
         assert prep.basis_class == basis_class
         assert prep.bit == bit
+        assert HbbPrep(basis, outcome) == prep
+        assert HbbPrep.from_measurement(basis, outcome) is prep
 
 
 class TestHbbReduce:
@@ -125,6 +128,11 @@ class TestHardenedPreparation:
         assert seen == {
             (basis, sign) for basis in (Basis.Z, Basis.X) for sign in (+1, -1)
         }
+
+    def test_draws_one_of_sixteen_shared_values(self):
+        rng = GeneratorSource(np.random.default_rng(41))
+        preps = [prepare_hardened_test_round(rng)[0] for _ in range(200)]
+        assert len({id(prep) for prep in preps}) == len(set(preps)) == 16
 
     def test_uses_requested_labels(self):
         rng = GeneratorSource(np.random.default_rng(0))
