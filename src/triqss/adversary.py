@@ -57,7 +57,10 @@ class AttackStrategy:
     largest value the loss budget of the configured channel pair can hide.
     ``cheating_enabled`` controls whether wrong Bell outcomes are converted
     into loss declarations (the distinctive move of the attack); with it off
-    the agent announces the error-prone measurement instead.
+    the agent announces the error-prone measurement instead.  ``EARLY_BELL``
+    ignores it: its swap happens on interception, before any declaration, so
+    a wrong outcome is always declared lost and the session is the same with
+    the flag on or off (transcripts still record the flag as given).
     """
 
     kind: AttackKind = AttackKind.OPAQUE_DEFERRED
@@ -84,7 +87,7 @@ def plan_attack_fraction(channel: ChannelConfig) -> float:
     blend equals the honest ``eta`` at ``2 (eta' - eta) / eta'``, capped at 1.
     Returns 0 when the replacement channel is no better than the honest one.
     """
-    if channel.eta_prime <= channel.eta or channel.eta_prime <= 0.0:
+    if channel.eta_prime <= channel.eta:
         return 0.0
     return min(1.0, 2.0 * (channel.eta_prime - channel.eta) / channel.eta_prime)
 
@@ -155,14 +158,19 @@ class ActiveAdversary:
             if not rec.delivered_charlie:
                 rec.registry.discard(FAKE_CHARLIE, rng)
             if self.strategy.kind is AttackKind.EARLY_BELL:
-                self._early_bell(rec, rng)
+                self._bell_swap(rec, rng)
         else:
             rec.delivered_charlie = loss_filter(self.keep, rng)
             if not rec.delivered_charlie:
                 rec.registry.discard("C", rng)
 
-    def _early_bell(self, rec, rng: RandomSource) -> None:
-        """Swap-or-drop right now, before any designation is known."""
+    def _bell_swap(self, rec, rng: RandomSource) -> None:
+        """Bell-measure (kept fake half, intercepted second photon).
+
+        A good outcome is repaired on the kept first photon ``B``; a wrong
+        one leaves it error-prone.  Early-bell runs this on interception, the
+        deferred strategy once the round is a test round.
+        """
         result = rec.registry.measure_pair((FAKE_BOB, "C"), PairBasis.BELL, rng)
         outcome = BELL_ORDER[result.index]
         rec.bell_outcome = outcome
@@ -216,78 +224,35 @@ class ActiveAdversary:
         return True
 
     def respond_test(
-        self,
-        rec,
-        rng: RandomSource,
-        loss_branch_available: bool,
-        agent_bases: tuple[Basis, ...],
+        self, rec, rng: RandomSource, loss_branch_available: bool
     ) -> None:
-        """Resolve an attacked round that was designated a test round.
+        """Decide whether Bob declares an attacked round designated a test round.
 
-        Performs the deferred Bell measurement on (kept fake half,
-        intercepted second photon).  A good outcome is repaired on the kept
-        first photon and answered honestly; a wrong outcome is declared lost
-        when ``loss_branch_available`` and cheating is enabled, otherwise the
-        error-prone measurement of the kept photon is announced.  Hardened
-        product test rounds skip the pointless swap and are answered
-        honestly at the advertised rate.
+        Sets only ``branch``, ``bell_outcome`` and ``declared_bob``; the round
+        engine measures a declared photon.  The deferred strategy swaps now: a
+        good outcome is declared, a wrong one is declared lost when
+        ``loss_branch_available`` and cheating is enabled, and is otherwise
+        declared with its error-prone photon (``"forced"`` when the ordering
+        removed the loss branch).  Early-bell swapped on interception and
+        declares exactly its good outcomes.  Hardened product test rounds skip
+        the pointless swap: the kept photon is the genuine one, so it is
+        declared at the advertised rate, unless the detection is already
+        public (sifting), which was thinned then.
         """
         if not rec.attack_mounted:  # lost on the way: already "unattackable"
-            if rec.declared_bob is None:
-                rec.declared_bob = False
+            rec.declared_bob = False
             return
         if self.strategy.kind is AttackKind.EARLY_BELL:
-            self._early_test_answer(rec, rng, agent_bases)
+            rec.declared_bob = rec.branch == "good"
             return
         if isinstance(rec.preparation, HardenedPrep):
-            self._hardened_test_answer(rec, rng, agent_bases, loss_branch_available)
+            rec.branch = "skipped"
+            rec.declared_bob = not loss_branch_available or loss_filter(self.keep, rng)
             return
-        result = rec.registry.measure_pair((FAKE_BOB, "C"), PairBasis.BELL, rng)
-        outcome = BELL_ORDER[result.index]
-        rec.bell_outcome = outcome
-        correction = _GOOD_OUTCOMES.get(outcome)
-        if correction is not None:
-            rec.branch = "good"
-            rec.registry.apply("B", correction)
-            rec.declared_bob = True
-            rec.bob_basis, rec.bob_outcome = rec.registry.measure_random_basis(
-                "B", agent_bases, rng
-            )
-        elif self.strategy.cheating_enabled and loss_branch_available:
-            rec.branch = "bad"
-            rec.declared_bob = False
-        else:
-            rec.branch = "forced" if not loss_branch_available else "bad"
-            rec.declared_bob = True
-            rec.bob_basis, rec.bob_outcome = rec.registry.measure_random_basis(
-                "B", agent_bases, rng
-            )
-
-    def _early_test_answer(self, rec, rng, agent_bases) -> None:
-        if rec.branch == "good":
-            rec.declared_bob = True
-            if rec.bob_outcome is None:  # state-sharing rounds are still unmeasured
-                rec.bob_basis, rec.bob_outcome = rec.registry.measure_random_basis(
-                    "B", agent_bases, rng
-                )
-        else:
-            rec.declared_bob = False
-
-    def _hardened_test_answer(
-        self, rec, rng, agent_bases, loss_branch_available: bool
-    ) -> None:
-        # The kept first photon is the genuine prepared one, so honest
-        # answers keep this leg clean; the substituted far leg is what the
-        # hardened check will catch.  Declare at the advertised rate, unless
-        # the detection is already public (sifting), which was thinned then.
-        rec.branch = "skipped"
-        if not loss_branch_available or loss_filter(self.keep, rng):
-            rec.declared_bob = True
-            rec.bob_basis, rec.bob_outcome = rec.registry.measure_random_basis(
-                "B", agent_bases, rng
-            )
-        else:
-            rec.declared_bob = False
+        self._bell_swap(rec, rng)
+        if rec.branch == "bad" and not loss_branch_available:
+            rec.branch = "forced"
+        rec.declared_bob = rec.branch != "bad" or not self.strategy.cheating_enabled
 
     def fake_key_basis(self, rng: RandomSource, agent_bases) -> Basis:
         """Basis announced for an attacked key round (nothing was measured)."""

@@ -398,6 +398,10 @@ def _play_round(
     every ordering runs the designation-first schedule).  ``schedule`` is
     ``_schedule(config)`` and ``bases`` is ``config.scheme.agent_bases``; the
     caller computes both once per session.
+
+    The adversary only decides what Bob declares.  Bob's photon is measured
+    here: on arrival when he behaves like an honest receiver, and otherwise,
+    once the designation is final, on every test round he declared.
     """
     state_sharing, sifting, refined = schedule
     registry = PhotonRegistry()
@@ -444,11 +448,9 @@ def _play_round(
     elif rec.kind is RoundKind.KEY:
         rec.declared_bob = adversary.key_declaration(rec, rng)
     elif rec.attacked:
-        adversary.respond_test(rec, rng, loss_branch_available=True, agent_bases=bases)
+        adversary.respond_test(rec, rng, loss_branch_available=True)
     else:
         rec.declared_bob = adversary.untouched_test_declaration(rec, rng)
-    if state_sharing and rec.declared_bob and rec.bob_outcome is None:
-        rec.bob_basis, rec.bob_outcome = registry.measure_random_basis("B", bases, rng)
     rec.declared_charlie = rec.delivered_charlie
     both = bool(rec.declared_bob and rec.declared_charlie)
 
@@ -461,9 +463,10 @@ def _play_round(
         if rec.kind is RoundKind.TEST and rec.attacked and rec.declared_bob:
             # The detection is already public; a wrong Bell outcome can no
             # longer be converted into a loss.
-            adversary.respond_test(
-                rec, rng, loss_branch_available=False, agent_bases=bases
-            )
+            adversary.respond_test(rec, rng, loss_branch_available=False)
+    if rec.kind is RoundKind.TEST and rec.declared_bob and rec.bob_outcome is None:
+        # A declared test photon Bob still holds: state-sharing, or attacked.
+        rec.bob_basis, rec.bob_outcome = registry.measure_random_basis("B", bases, rng)
     if refined and rec.kind is RoundKind.TEST and both:
         rec.charlie_first = rng.coin(0.5)
     if rec.kind is not RoundKind.KEY or not rec.attack_mounted:

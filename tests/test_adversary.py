@@ -14,6 +14,8 @@ from triqss.adversary import (
 from triqss.channel import ChannelConfig
 from triqss.conventions import Scheme, convention_bit, correlated_bases
 from triqss.protocol import (
+    Mode,
+    OrderingPolicy,
     RoundKind,
     RoundRecord,
     SessionConfig,
@@ -224,6 +226,35 @@ class TestLossCheating:
         assert tally.attacked_test_mounted == mounted
         assert tally.attacked_test_loss_declared == declared_lost
 
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("ordering", list(OrderingPolicy), ids=lambda o: o.value)
+    def test_early_bell_ignores_the_cheating_flag(self, ordering, mode):
+        # The early swap leaves a wrong outcome nothing to announce, so it is
+        # always declared lost: the flag changes no counter.  Under
+        # sifting-classical those rounds were never declared, so none is a
+        # test round.
+        config = SessionConfig(
+            channel=ChannelConfig(eta=0.3, eta_prime=0.6),
+            rounds=3000,
+            ordering=ordering,
+            mode=mode,
+            seed=3,
+        )
+        on, off = (
+            tally_transcript(
+                run_session(
+                    config,
+                    AttackStrategy(AttackKind.EARLY_BELL, cheating_enabled=flag),
+                )
+            )
+            for flag in (True, False)
+        )
+        assert on == off
+        if ordering is OrderingPolicy.SIFTING_FIRST and mode is Mode.CLASSICAL_KEY:
+            assert on.attacked_test_loss_declared == 0
+        else:
+            assert on.attacked_test_loss_declared > 200
+
     def test_surviving_test_rounds_are_error_free(self):
         transcript = attacked_session(rounds=3000)
         checked = 0
@@ -296,7 +327,7 @@ class TestKeyRecovery:
             if r.recovered_dealer_bit is not None
             and r.recovered_charlie_outcome is not None
         )
-        rng = np.random.default_rng(0)
+        rng = FixedUniform(0.5)
         with pytest.raises(KeyError) as exc:
             adversary.recover_dealer_bit(rec, rec.preparation.basis_class, rng)
         assert exc.value.args[0] == "no photon labeled 'B'"

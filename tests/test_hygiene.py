@@ -15,6 +15,10 @@ classes that define those draws.
 
 No two functions or methods in the package have the same body of two
 statements or more (docstrings aside): one body serves both names instead.
+
+An agent's photon is measured only by the round engine: the package calls
+``measure_random_basis`` from ``protocol.py`` alone, so an adversary decides
+what Bob declares but never measures for him.
 """
 
 import ast
@@ -211,3 +215,35 @@ def test_the_body_scan_flags_only_repeated_bodies():
 def test_no_repeated_function_bodies():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert duplicate_bodies(sources) == []
+
+
+def calls(source: str, name: str) -> list[int]:
+    """The line of each call of ``name``, as a function or as a method."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and name
+        in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    )
+
+
+def test_the_call_scan_flags_only_calls():
+    source = (
+        "class PhotonRegistry:\n"
+        "    def measure_random_basis(self, label, bases, rng):\n"
+        "        return measure_random_basis(self, label)\n"
+        "measure = registry.measure_random_basis\n"
+        "basis, outcome = registry.measure_random_basis('B', bases, rng)\n"
+        "registry.measure('B', basis, rng)\n"
+    )
+    assert calls(source, "measure_random_basis") == [3, 5]
+
+
+def test_only_the_round_engine_measures_an_agent_photon():
+    callers = {
+        path.name
+        for path in PACKAGE
+        if calls(path.read_text(encoding="utf-8"), "measure_random_basis")
+    }
+    assert callers == {"protocol.py"}

@@ -20,6 +20,7 @@ from triqss.protocol import (
     ConfigError,
     Mode,
     OrderingPolicy,
+    RoundKind,
     SessionConfig,
     export_transcript_jsonl,
     run_session,
@@ -49,6 +50,9 @@ def _check_records(transcript, strategy) -> None:
         assert rec.attack_mounted == (rec.attacked and rec.delivered_bob)
         if rec.declared_bob and rec.declared_charlie:
             assert rec.bob_basis is not None and rec.charlie_basis is not None
+        if rec.kind is RoundKind.TEST and rec.declared_bob:
+            # Bob alone declared counts too: a declared test photon is measured.
+            assert rec.bob_basis is not None and rec.bob_outcome is not None
         if rec.branch == "bad" and rec.declared_bob is False:  # a loss cheat
             assert rec.bell_outcome in WRONG_BELL_OUTCOMES
             assert (
