@@ -22,7 +22,6 @@ from .adversary import (
     ActiveAdversary,
     AttackKind,
     AttackStrategy,
-    PASSIVE,
     plan_attack_fraction,
 )
 from .channel import ChannelConfig
@@ -80,7 +79,6 @@ __all__ = [
     "Mode",
     "NoTestDataError",
     "OrderingPolicy",
-    "PASSIVE",
     "PRESET_NAMES",
     "PreparedState",
     "RoundKind",

@@ -9,7 +9,8 @@ later Bell measurement comes out wrong.
 
 Strategies
 ----------
-* ``PASSIVE``: no interference; the honest channel runs as configured.
+An honest session has none: its strategy is ``None``.
+
 * ``OPAQUE_DEFERRED``: intercept, store, and delay the Bell measurement on
   (kept fake half, intercepted second photon) until the round is designated
   a test round.  Wrong Bell outcomes are declared as losses when the
@@ -29,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .channel import ChannelConfig, _check_probability, loss_filter
+from .channel import ChannelConfig, ConfigError, _check_probability
+from .channel import transmit as loss_filter  # the name the benchmark traces
 from .preparation import HardenedPrep
 from .qcore import (
     Basis,
@@ -44,7 +46,6 @@ from .registry import pick_basis
 
 
 class AttackKind(Enum):
-    PASSIVE = "passive"
     OPAQUE_DEFERRED = "opaque-deferred"
     EARLY_BELL = "early-bell"
 
@@ -68,15 +69,14 @@ class AttackStrategy:
     cheating_enabled: bool = True
 
     def __post_init__(self) -> None:
-        value = self.attack_fraction
-        if value is None:
-            return
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"attack_fraction must be a number, got {value!r}")
-        _check_probability("attack_fraction", value)
-
-
-PASSIVE = AttackStrategy(kind=AttackKind.PASSIVE)
+        if not isinstance(self.kind, AttackKind):
+            raise ConfigError("kind", f"expected an AttackKind, got {self.kind!r}")
+        if self.attack_fraction is not None:
+            _check_probability("attack_fraction", self.attack_fraction)
+        if not isinstance(self.cheating_enabled, bool):
+            raise ConfigError(
+                "cheating_enabled", f"need a bool, got {self.cheating_enabled!r}"
+            )
 
 
 def plan_attack_fraction(channel: ChannelConfig) -> float:
@@ -109,15 +109,12 @@ class ActiveAdversary:
     """Runtime driver for an intercepting strategy within one session."""
 
     def __init__(self, strategy: AttackStrategy, channel: ChannelConfig):
-        if strategy.kind is AttackKind.PASSIVE:
-            raise ValueError("a passive strategy needs no adversary driver")
-        if channel.eta_prime < channel.eta:
-            raise ValueError(
-                "an intercepting adversary needs eta_prime >= eta; "
-                f"got eta={channel.eta}, eta_prime={channel.eta_prime}"
+        if channel.eta_prime < channel.eta or channel.eta_prime <= 0.0:
+            raise ConfigError(
+                "channel.eta_prime",
+                "an intercepting adversary needs eta_prime >= eta and eta_prime > 0, "
+                f"got eta={channel.eta} eta_prime={channel.eta_prime}",
             )
-        if channel.eta_prime <= 0.0:
-            raise ValueError("an intercepting adversary needs eta_prime > 0")
         self.strategy = strategy
         self.channel = channel
         # Share of arrived photons declared, so declarations surface at eta.

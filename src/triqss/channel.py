@@ -13,9 +13,21 @@ from dataclasses import dataclass
 from .qcore import RandomSource
 
 
-def _check_probability(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+class ConfigError(ValueError):
+    """Invalid configuration, carrying the offending field name."""
+
+    def __init__(self, field_name: str, message: str):
+        super().__init__(f"{field_name}: {message}")
+        self.field = field_name
+        self.message = message
+
+
+def _check_probability(name: str, value) -> None:
+    """Reject anything but an int or float (a bool is neither) in [0, 1]."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(name, f"must be a number, got {value!r}")
+    if not 0.0 <= value <= 1.0:  # also false for nan
+        raise ConfigError(name, f"must lie in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -35,25 +47,17 @@ class ChannelConfig:
     eta_prime: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("eta", "eta_prime"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            _check_probability(name, value)
+        _check_probability("eta", self.eta)
+        _check_probability("eta_prime", self.eta_prime)
 
 
 def transmit(efficiency: float, rng: RandomSource) -> bool:
-    """One Bernoulli trial of a lossy leg; True means the photon arrived."""
-    _check_probability("efficiency", efficiency)
-    return rng.coin(efficiency)
+    """One Bernoulli trial of a lossy leg; True means the photon arrived.
 
-
-def loss_filter(keep_probability: float, rng: RandomSource) -> bool:
-    """Deliberate thinning of already-received photons; True means kept.
-
-    Used to degrade a good channel down to an advertised efficiency, e.g.
-    keeping a fraction ``eta / eta_prime`` of photons that survived the
-    replacement channel so the far end observes rate ``eta``.
+    Also the deliberate thinning of photons already received: keeping a
+    share ``eta / eta_prime`` of those that survived the replacement channel
+    makes the far end observe rate ``eta``.  ``efficiency`` is not checked
+    here; each caller passes a value checked where it was made
+    (``ChannelConfig.eta``, or an adversary's ``eta / eta_prime``).
     """
-    _check_probability("keep_probability", keep_probability)
-    return rng.coin(keep_probability)
+    return rng.coin(efficiency)

@@ -244,13 +244,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _efficiency(entry: str) -> float:
+    """One entry of ``--eta-prime-list``, as a float."""
+    try:
+        return float(entry)
+    except ValueError:
+        raise ConfigError("eta_primes", f"not a number: {entry.strip()!r}") from None
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _load_config_file(args)
     given = _given(args, "eta", "rounds", "seed", "repetitions", "eta_primes")
     if "eta_primes" in given:
         raw = given.pop("eta_primes")
         if isinstance(raw, str):
-            raw = [float(v) for v in raw.split(",") if v.strip()]
+            raw = [_efficiency(v) for v in raw.split(",") if v.strip()]
         if not isinstance(raw, list) or not raw:
             raise ConfigError("eta_primes", "need a list of at least one efficiency")
         given["eta_prime_values"] = tuple(raw)

@@ -83,7 +83,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if not _is_int(self.repetitions) or self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions!r}")
+            raise ConfigError(
+                "repetitions", f"need a positive integer, got {self.repetitions!r}"
+            )
 
 
 @dataclass
@@ -194,8 +196,9 @@ def preset_experiment(
     try:
         entry = _PRESET_TABLE[name]
     except KeyError:
-        raise ValueError(
-            f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}"
+        raise ConfigError(
+            "preset",
+            f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}",
         ) from None
     if ordering is None:
         ordering = entry.get("ordering", OrderingPolicy.VULNERABLE)

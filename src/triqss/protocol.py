@@ -46,10 +46,9 @@ from .adversary import (
     FAKE_BOB,
     FAKE_CHARLIE,
     ActiveAdversary,
-    AttackKind,
     AttackStrategy,
 )
-from .channel import ChannelConfig, transmit
+from .channel import ChannelConfig, ConfigError, _check_probability, transmit
 from .conventions import Scheme, convention_bit, correlated_bases, hbb_reduced_state
 from .preparation import (
     HardenedPrep,
@@ -117,15 +116,6 @@ class RoundKind(Enum):
     MESSAGE = "message"
 
 
-class ConfigError(ValueError):
-    """Invalid configuration, carrying the offending field name."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(f"{field_name}: {message}")
-        self.field = field_name
-        self.message = message
-
-
 class NoTestDataError(ValueError):
     """A finished session left no usable test data to run the check on."""
 
@@ -133,11 +123,6 @@ class NoTestDataError(ValueError):
 def _is_int(value) -> bool:
     """An int that is not a bool (``True`` would otherwise pass as 1)."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """An int or float that is not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -169,10 +154,11 @@ class SessionConfig:
                 )
         if not _is_int(self.rounds) or self.rounds < 1:
             raise ConfigError("rounds", f"need a positive integer, got {self.rounds!r}")
-        if not (_is_real(self.test_fraction) and 0.0 < self.test_fraction < 1.0):
+        _check_probability("test_fraction", self.test_fraction)
+        if self.test_fraction in (0, 1):
             raise ConfigError(
                 "test_fraction",
-                f"must be a number strictly in (0, 1), got {self.test_fraction!r}",
+                f"must lie strictly in (0, 1), got {self.test_fraction!r}",
             )
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed", f"need a non-negative integer, got {self.seed!r}")
@@ -278,27 +264,22 @@ def _prep_state(prep: Preparation) -> StateVector:
 
 
 def validate_session(config: SessionConfig, strategy: AttackStrategy | None) -> None:
-    """Reject configurations the machinery cannot honor."""
-    active = strategy is not None and strategy.kind is not AttackKind.PASSIVE
-    if not active:
+    """Reject a strategy the session cannot run; ``None`` is the honest one.
+
+    The channel pair an active adversary needs is ``ActiveAdversary``'s check.
+    """
+    if strategy is None:
         return
+    if not isinstance(strategy, AttackStrategy):
+        raise ConfigError(
+            "strategy", f"expected an AttackStrategy or None, got {strategy!r}"
+        )
     if config.scheme is Scheme.HBB:
         raise ConfigError(
             "strategy",
             "the interception repair only preserves the Z/X signal set; "
             "the GHZ scheme's Y-basis pairs are not invariant, so an active "
             "adversary is not supported for scheme 'hbb'",
-        )
-    ch = config.channel
-    if ch.eta_prime < ch.eta:
-        raise ConfigError(
-            "channel.eta_prime",
-            f"an active adversary needs eta_prime >= eta, got "
-            f"eta={ch.eta} eta_prime={ch.eta_prime}",
-        )
-    if ch.eta_prime <= 0.0:
-        raise ConfigError(
-            "channel.eta_prime", "an active adversary needs a usable channel"
         )
 
 
@@ -578,8 +559,7 @@ def run_session(
     configuration and strategy always reproduce the same transcript.
     """
     validate_session(config, strategy)
-    active = strategy is not None and strategy.kind is not AttackKind.PASSIVE
-    adversary = ActiveAdversary(strategy, config.channel) if active else None
+    adversary = None if strategy is None else ActiveAdversary(strategy, config.channel)
     table = _uniform_table(config.seed, config.rounds)
     schedule = _schedule(config)
     bases = config.scheme.agent_bases

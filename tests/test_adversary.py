@@ -8,10 +8,9 @@ from triqss.adversary import (
     ActiveAdversary,
     AttackKind,
     AttackStrategy,
-    PASSIVE,
     plan_attack_fraction,
 )
-from triqss.channel import ChannelConfig
+from triqss.channel import ChannelConfig, ConfigError
 from triqss.conventions import Scheme, convention_bit, correlated_bases
 from triqss.protocol import (
     Mode,
@@ -63,19 +62,17 @@ class TestStrategy:
 
     @pytest.mark.parametrize("value", [True, False, "0.5"])
     def test_fraction_must_be_a_number(self, value):
-        with pytest.raises(ValueError, match="attack_fraction must be a number"):
+        pattern = "attack_fraction: must be a number"
+        with pytest.raises(ConfigError, match=pattern) as err:
             AttackStrategy(attack_fraction=value)
+        assert err.value.field == "attack_fraction"
 
-    def test_passive_constant(self):
-        assert PASSIVE.kind is AttackKind.PASSIVE
-
-    def test_driver_rejects_passive_and_worse_channel(self):
-        with pytest.raises(ValueError, match="passive"):
-            ActiveAdversary(PASSIVE, ChannelConfig(eta=0.3, eta_prime=0.6))
-        with pytest.raises(ValueError):
+    def test_driver_rejects_worse_channel(self):
+        with pytest.raises(ConfigError, match="eta_prime >= eta") as err:
             ActiveAdversary(
                 AttackStrategy(), ChannelConfig(eta=0.6, eta_prime=0.3)
             )
+        assert err.value.field == "channel.eta_prime"
 
     def test_driver_rejects_a_dead_replacement_channel(self):
         with pytest.raises(ValueError, match="eta_prime > 0"):

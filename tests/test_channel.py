@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from triqss.channel import ChannelConfig, loss_filter, transmit
+from triqss.channel import ChannelConfig, ConfigError, transmit
 
 from helpers import GeneratorSource
 
@@ -16,13 +16,15 @@ class TestChannelConfig:
 
     @pytest.mark.parametrize("eta", [-0.1, 1.1])
     def test_rejects_eta_outside_unit_interval(self, eta):
-        with pytest.raises(ValueError, match="eta"):
+        with pytest.raises(ConfigError, match="eta") as err:
             ChannelConfig(eta=eta)
+        assert err.value.field == "eta"
 
     @pytest.mark.parametrize("eta_prime", [-0.5, 2.0])
     def test_rejects_eta_prime_outside_unit_interval(self, eta_prime):
-        with pytest.raises(ValueError, match="eta_prime"):
+        with pytest.raises(ConfigError, match="eta_prime") as err:
             ChannelConfig(eta=0.5, eta_prime=eta_prime)
+        assert err.value.field == "eta_prime"
 
     def test_is_frozen(self):
         cfg = ChannelConfig(eta=0.5)
@@ -45,17 +47,10 @@ class TestTransmit:
         hits = sum(transmit(0.3, rng) for _ in range(n))
         assert hits / n == pytest.approx(0.3, abs=0.01)
 
-    def test_rejects_bad_efficiency(self):
-        rng = GeneratorSource(np.random.default_rng(0))
-        with pytest.raises(ValueError, match="efficiency"):
-            transmit(1.5, rng)
-
-
-class TestLossFilter:
     def test_keep_rate_matches_probability(self):
         rng = GeneratorSource(np.random.default_rng(7))
         n = 20000
-        kept = sum(loss_filter(0.6, rng) for _ in range(n))
+        kept = sum(transmit(0.6, rng) for _ in range(n))
         assert kept / n == pytest.approx(0.6, abs=0.01)
 
     def test_composition_thins_to_product_rate(self):
@@ -64,12 +59,7 @@ class TestLossFilter:
         eta, eta_prime = 0.3, 0.6
         n = 20000
         observed = sum(
-            transmit(eta_prime, rng) and loss_filter(eta / eta_prime, rng)
+            transmit(eta_prime, rng) and transmit(eta / eta_prime, rng)
             for _ in range(n)
         )
         assert observed / n == pytest.approx(eta, abs=0.01)
-
-    def test_rejects_bad_probability(self):
-        rng = GeneratorSource(np.random.default_rng(0))
-        with pytest.raises(ValueError, match="keep_probability"):
-            loss_filter(-0.2, rng)

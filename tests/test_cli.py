@@ -247,6 +247,12 @@ class TestSweepCommand:
         assert code == EXIT_CONFIG
         assert "at least one" in err
 
+    def test_non_number_in_grid_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--eta-prime-list", "0.3, abc")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == "error: eta_primes: not a number: 'abc'\n"
+
 
 class TestVerifyTableCommand:
     def test_passes_and_prints_cells(self, capsys):

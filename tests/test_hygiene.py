@@ -19,6 +19,10 @@ statements or more (docstrings aside): one body serves both names instead.
 An agent's photon is measured only by the round engine: the package calls
 ``measure_random_basis`` from ``protocol.py`` alone, so an adversary decides
 what Bob declares but never measures for him.
+
+Every ``raise`` in a configuration boundary (a config's ``__post_init__``,
+the probability check, the adversary's channel rule, the session's strategy
+check and the preset lookup) raises ``ConfigError``, which names the field.
 """
 
 import ast
@@ -247,3 +251,73 @@ def test_only_the_round_engine_measures_an_agent_photon():
         if calls(path.read_text(encoding="utf-8"), "measure_random_basis")
     }
     assert callers == {"protocol.py"}
+
+
+# (module, class or None, function): where a configuration value is checked.
+CONFIG_BOUNDARIES = (
+    ("channel.py", None, "_check_probability"),
+    ("channel.py", "ChannelConfig", "__post_init__"),
+    ("adversary.py", "AttackStrategy", "__post_init__"),
+    ("adversary.py", "ActiveAdversary", "__init__"),
+    ("protocol.py", "SessionConfig", "__post_init__"),
+    ("protocol.py", None, "validate_session"),
+    ("harness.py", "ExperimentConfig", "__post_init__"),
+    ("harness.py", None, "preset_experiment"),
+)
+
+
+def non_config_raises(source: str, owner: str | None, name: str) -> list[str]:
+    """``"line: exception"`` for each ``raise`` in the function ``name`` (a
+    method of class ``owner``, or top-level when ``owner`` is None) that does
+    not raise a ``ConfigError``; ``["missing"]`` when there is no such
+    function."""
+    scope = ast.parse(source).body
+    if owner is not None:
+        scope = next(
+            (n.body for n in scope if isinstance(n, ast.ClassDef) and n.name == owner),
+            [],
+        )
+    function = next(
+        (n for n in scope if isinstance(n, ast.FunctionDef) and n.name == name), None
+    )
+    if function is None:
+        return ["missing"]
+    found = []
+    for node in ast.walk(function):
+        if not isinstance(node, ast.Raise):
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if getattr(exc, "id", getattr(exc, "attr", None)) != "ConfigError":
+            found.append(f"{node.lineno}: {ast.unparse(exc) if exc else 'raise'}")
+    return found
+
+
+def test_the_raise_scan_flags_only_other_exceptions():
+    source = (
+        "class Config:\n"
+        "    def __post_init__(self):\n"
+        "        if self.x:\n"
+        "            raise ConfigError('x', 'bad')\n"
+        "        raise ValueError('y must be set')\n"
+        "    def other(self):\n"
+        "        raise ValueError('not a boundary')\n"
+        "def check(value):\n"
+        "    try:\n"
+        "        value()\n"
+        "    except KeyError:\n"
+        "        raise\n"
+        "    raise protocol.ConfigError('value', 'bad') from None\n"
+    )
+    assert non_config_raises(source, "Config", "__post_init__") == ["5: ValueError"]
+    assert non_config_raises(source, None, "check") == ["12: raise"]
+    assert non_config_raises(source, "Config", "check") == ["missing"]
+
+
+@pytest.mark.parametrize(
+    "module,owner,name",
+    CONFIG_BOUNDARIES,
+    ids=[".".join(p for p in entry if p) for entry in CONFIG_BOUNDARIES],
+)
+def test_every_configuration_boundary_raises_config_error(module, owner, name):
+    source = (ROOT / "src" / "triqss" / module).read_text(encoding="utf-8")
+    assert non_config_raises(source, owner, name) == []

@@ -94,16 +94,59 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="strategy"):
             validate_session(config, strategy)
 
-    def test_passive_strategy_is_fine_for_every_scheme(self):
-        config = honest_config(scheme=Scheme.HBB)
-        validate_session(config, None)
-        validate_session(config, AttackStrategy(kind=AttackKind.PASSIVE))
+    def test_honest_session_is_fine_for_every_scheme(self):
+        validate_session(honest_config(scheme=Scheme.HBB), None)
 
     def test_active_adversary_needs_better_channel(self):
         config = honest_config(channel=ChannelConfig(eta=0.5, eta_prime=0.4))
         strategy = AttackStrategy(kind=AttackKind.OPAQUE_DEFERRED)
-        with pytest.raises(ConfigError, match="eta_prime"):
-            validate_session(config, strategy)
+        with pytest.raises(ConfigError, match="eta_prime") as err:
+            run_session(config, strategy)
+        assert err.value.field == "channel.eta_prime"
+
+
+# Each field's maker, and values it must refuse with a ConfigError naming it.
+MAKERS = {
+    "kind": lambda value: AttackStrategy(kind=value),
+    "cheating_enabled": lambda value: AttackStrategy(cheating_enabled=value),
+    "attack_fraction": lambda value: AttackStrategy(attack_fraction=value),
+    "eta": lambda value: ChannelConfig(eta=value),
+    "strategy": lambda value: run_session(honest_config(), value),
+    "channel.eta_prime": lambda pair: run_session(
+        honest_config(channel=ChannelConfig(*pair)), AttackStrategy()
+    ),
+    "repetitions": lambda value: preset_experiment("honest", repetitions=value),
+    "preset": preset_experiment,
+}
+BAD_INPUTS = [
+    ("kind", "early-bell"),
+    ("cheating_enabled", "no"),
+    ("cheating_enabled", 0),
+    ("cheating_enabled", None),
+    ("attack_fraction", True),
+    ("attack_fraction", "0.5"),
+    ("attack_fraction", 1.5),
+    ("attack_fraction", float("nan")),
+    ("eta", True),
+    ("eta", "0.3"),
+    ("eta", float("nan")),
+    ("eta", 1.1),
+    ("strategy", "opaque-deferred"),
+    ("channel.eta_prime", (0.0, 0.0)),  # a dead replacement channel
+    ("channel.eta_prime", (0.5, 0.4)),  # a replacement channel worse than eta
+    ("repetitions", 0),
+    ("repetitions", True),
+    ("preset", "nope"),
+]
+
+
+@pytest.mark.parametrize(
+    "field,value", BAD_INPUTS, ids=[f"{field}={value!r}" for field, value in BAD_INPUTS]
+)
+def test_bad_input_is_a_config_error_naming_its_field(field, value):
+    with pytest.raises(ConfigError) as err:
+        MAKERS[field](value)
+    assert err.value.field == field
 
 
 class TestHonestSession:

@@ -13,7 +13,7 @@ fraction of one half, so that untouched rounds are thinned on the far leg
 
 import pytest
 
-from triqss.adversary import PASSIVE, AttackKind, AttackStrategy
+from triqss.adversary import AttackKind, AttackStrategy
 from triqss.channel import ChannelConfig
 from triqss.conventions import Scheme
 from triqss.protocol import (
@@ -35,7 +35,6 @@ GRID_ROUNDS = 150
 GRID_SEED = 5
 STRATEGIES = (
     None,
-    PASSIVE,
     AttackStrategy(AttackKind.OPAQUE_DEFERRED, cheating_enabled=True),
     AttackStrategy(AttackKind.OPAQUE_DEFERRED, cheating_enabled=False),
     AttackStrategy(AttackKind.EARLY_BELL, cheating_enabled=True),
@@ -80,7 +79,7 @@ def _check_tally(tally, honest: bool) -> None:
 def test_every_cell_is_rejected_or_consistent(scheme, mode, ordering, tmp_path):
     path = tmp_path / "t.jsonl"
     for strategy in STRATEGIES:
-        active = strategy is not None and strategy.kind is not AttackKind.PASSIVE
+        active = strategy is not None
         for eta, eta_prime in CHANNEL_PAIRS:
             config = SessionConfig(
                 channel=ChannelConfig(eta=eta, eta_prime=eta_prime),
