@@ -36,7 +36,6 @@ from .preparation import HardenedPrep
 from .qcore import (
     Basis,
     BellOutcome,
-    BELL_ORDER,
     PairBasis,
     PauliCorrection,
     RandomSource,
@@ -168,8 +167,8 @@ class ActiveAdversary:
         one leaves it error-prone.  Early-bell runs this on interception, the
         deferred strategy once the round is a test round.
         """
-        result = rec.registry.measure_pair((FAKE_BOB, "C"), PairBasis.BELL, rng)
-        outcome = BELL_ORDER[result.index]
+        swapped = (FAKE_BOB, "C")
+        outcome = rec.registry.measure_pair(swapped, PairBasis.BELL, rng).outcome
         rec.bell_outcome = outcome
         correction = _GOOD_OUTCOMES.get(outcome)
         if correction is None:
@@ -267,8 +266,7 @@ class ActiveAdversary:
         pair is no longer held.
         """
         basis = PairBasis.BELL if basis_class == 1 else PairBasis.ROTATED_BELL
-        result = rec.registry.measure_pair(("B", "C"), basis, rng)
-        outcome = BELL_ORDER[result.index]
+        outcome = rec.registry.measure_pair(("B", "C"), basis, rng).outcome
         if outcome is BellOutcome.PSI_PLUS:
             return 0
         if outcome is BellOutcome.PHI_MINUS:

@@ -23,9 +23,13 @@ class ConfigError(ValueError):
 
 
 def _check_probability(name: str, value) -> None:
-    """Reject anything but an int or float (a bool is neither) in [0, 1]."""
+    """Reject anything but a JSON-encodable int or float (not a bool) in [0, 1]."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(name, f"must be a number, got {value!r}")
+        raise ConfigError(
+            name,
+            "must be a number: a Python int or float or a subclass, such as "
+            f"numpy.float64, but not a bool; got {value!r}",
+        )
     if not 0.0 <= value <= 1.0:  # also false for nan
         raise ConfigError(name, f"must lie in [0, 1], got {value!r}")
 

@@ -67,13 +67,12 @@ _DATA_FILE = "bit_conventions.json"
 _PROB_ATOL = 1e-9
 
 
-@lru_cache(maxsize=None)
 def hbb_reduced_state(alice_basis: Basis, outcome: int) -> StateVector:
     """Agents' pair state after the GHZ dealer projects her photon.
 
     Pure projector arithmetic (no sampling); ``outcome`` is +1 or -1 in
-    ``alice_basis``, which must be X or Y.  Each of the four states is built
-    once and then shared; a ``StateVector`` is immutable.
+    ``alice_basis``, which must be X or Y.  Built once per ``HbbPrep``,
+    which carries the result as its ``state``.
     """
     if alice_basis not in (Basis.X, Basis.Y):
         raise ValueError(f"dealer measures X or Y, got {alice_basis}")

@@ -45,6 +45,7 @@ from .protocol import (
     run_session,
     tally_transcript,
     validate_announcement_order,
+    validate_session,
 )
 from .qcore import Basis
 from .stats import ratio
@@ -86,6 +87,9 @@ class ExperimentConfig:
             raise ConfigError(
                 "repetitions", f"need a positive integer, got {self.repetitions!r}"
             )
+        if not isinstance(self.session, SessionConfig):
+            raise ConfigError("session", f"need a SessionConfig, got {self.session!r}")
+        validate_session(self.session, self.strategy)
 
 
 @dataclass
@@ -195,7 +199,7 @@ def preset_experiment(
     """Build the named experiment; ``ordering``/``mode`` override the preset."""
     try:
         entry = _PRESET_TABLE[name]
-    except KeyError:
+    except (KeyError, TypeError):  # an unhashable name is unknown too
         raise ConfigError(
             "preset",
             f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}",

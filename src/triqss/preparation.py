@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .conventions import CLASS_BIT_OF_TAG, HBB_CLASS_OF_BASIS, hbb_dealer_bit
+from .conventions import CLASS_BIT_OF_TAG, HBB_CLASS_OF_BASIS
+from .conventions import hbb_dealer_bit, hbb_reduced_state
 from .qcore import (
     Basis,
-    Measurement,
     RandomSource,
     SignalTag,
     StateVector,
@@ -35,18 +35,17 @@ class PreparedState:
     tag: SignalTag
     basis_class: int = field(init=False)
     bit: int = field(init=False)
+    state: StateVector = field(init=False, compare=False, repr=False)  # over (B, C)
 
     def __post_init__(self) -> None:
         basis_class, bit = CLASS_BIT_OF_TAG[self.tag]
         object.__setattr__(self, "basis_class", basis_class)
         object.__setattr__(self, "bit", bit)
+        object.__setattr__(self, "state", signal_state(self.tag, ("B", "C")))
 
     @classmethod
     def from_tag(cls, tag: SignalTag) -> "PreparedState":
         return _PREPARED_BY_TAG[tag]
-
-    def state(self, labels: tuple[str, str] = ("B", "C")) -> StateVector:
-        return signal_state(self.tag, labels)
 
 
 @dataclass(frozen=True)
@@ -57,10 +56,13 @@ class HbbPrep:
     dealer_outcome: int
     basis_class: int = field(init=False)
     bit: int = field(init=False)
+    state: StateVector = field(init=False, compare=False, repr=False)  # over (B, C)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "basis_class", HBB_CLASS_OF_BASIS[self.dealer_basis])
-        object.__setattr__(self, "bit", hbb_dealer_bit(self.dealer_outcome))
+        basis, outcome = self.dealer_basis, self.dealer_outcome
+        object.__setattr__(self, "basis_class", HBB_CLASS_OF_BASIS[basis])
+        object.__setattr__(self, "bit", hbb_dealer_bit(outcome))
+        object.__setattr__(self, "state", hbb_reduced_state(basis, outcome))
 
     @classmethod
     def from_measurement(cls, dealer_basis: Basis, outcome: int) -> "HbbPrep":
@@ -90,12 +92,9 @@ _HARDENED_BY_DRAW = {
 
 
 def hbb_reduce(
-    state: StateVector,
-    alice_basis: Basis,
-    rng: RandomSource,
-    label: str = "A",
+    state: StateVector, alice_basis: Basis, rng: RandomSource
 ) -> tuple[int, StateVector]:
-    """Measure the dealer's GHZ photon, collapsing the agents' pair.
+    """Measure the dealer's GHZ photon ``A``, collapsing the agents' pair.
 
     Returns ``(outcome, two-qubit post state)``.  The dealer only ever uses
     X or Y here; Z is rejected because it would collapse the agents into a
@@ -103,7 +102,7 @@ def hbb_reduce(
     """
     if alice_basis not in (Basis.X, Basis.Y):
         raise ValueError(f"dealer basis must be X or Y, got {alice_basis}")
-    result: Measurement = measure_qubit(state, label, alice_basis, rng)
+    result = measure_qubit(state, "A", alice_basis, rng)
     if result.post_state is None:
         raise ValueError("state has no photons left after the dealer's measurement")
     return result.outcome, result.post_state
@@ -111,9 +110,8 @@ def hbb_reduce(
 
 def prepare_hardened_test_round(
     rng: RandomSource,
-    labels: tuple[str, str] = ("B", "C"),
 ) -> tuple[HardenedPrep, StateVector, StateVector]:
-    """Draw a hardened test round: random basis and eigenstate per leg."""
+    """Draw a hardened test round: a random basis and eigenstate for B and C."""
     bob_basis = _HARDENED_BASES[rng.pick(2)]
     bob_sign = +1 if rng.coin(0.5) else -1
     charlie_basis = _HARDENED_BASES[rng.pick(2)]
@@ -121,6 +119,6 @@ def prepare_hardened_test_round(
     prep = _HARDENED_BY_DRAW[(bob_basis, bob_sign, charlie_basis, charlie_sign)]
     return (
         prep,
-        basis_ket(bob_basis, bob_sign, labels[0]),
-        basis_ket(charlie_basis, charlie_sign, labels[1]),
+        basis_ket(bob_basis, bob_sign, "B"),
+        basis_ket(charlie_basis, charlie_sign, "C"),
     )

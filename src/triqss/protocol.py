@@ -49,7 +49,7 @@ from .adversary import (
     AttackStrategy,
 )
 from .channel import ChannelConfig, ConfigError, _check_probability, transmit
-from .conventions import Scheme, convention_bit, correlated_bases, hbb_reduced_state
+from .conventions import Scheme, convention_bit, correlated_bases
 from .preparation import (
     HardenedPrep,
     HbbPrep,
@@ -63,10 +63,8 @@ from .qcore import (
     BellOutcome,
     RandomSource,
     SIGNAL_ORDER,
-    StateVector,
     ghz_state,
     overlap,
-    signal_state,
 )
 from .registry import PhotonRegistry
 from .stats import ratio, wilson_interval
@@ -255,14 +253,6 @@ def _entangled(prep: Preparation) -> bool:
     return not isinstance(prep, HardenedPrep)
 
 
-def _prep_state(prep: Preparation) -> StateVector:
-    if isinstance(prep, PreparedState):
-        return prep.state()
-    if isinstance(prep, HbbPrep):
-        return hbb_reduced_state(prep.dealer_basis, prep.dealer_outcome)
-    raise ValueError("hardened test rounds have no joint pair state")
-
-
 def validate_session(config: SessionConfig, strategy: AttackStrategy | None) -> None:
     """Reject a strategy the session cannot run; ``None`` is the honest one.
 
@@ -352,9 +342,8 @@ def _prepare_round(
         registry.add(photon_b)
         registry.add(photon_c)
         return prep
-    tag = SIGNAL_ORDER[rng.pick(4)]
-    prep = PreparedState.from_tag(tag)
-    registry.add(signal_state(tag, ("B", "C")))
+    prep = PreparedState.from_tag(SIGNAL_ORDER[rng.pick(4)])
+    registry.add(prep.state)
     return prep
 
 
@@ -659,7 +648,7 @@ def _tally_message_round(rec: RoundRecord, tally: SessionTally) -> None:
     joint = rec.registry.joint_state(("B", "C"))
     if joint is None:
         return
-    ov = overlap(joint, _prep_state(rec.preparation))
+    ov = overlap(joint, rec.preparation.state)  # message rounds are never hardened
     intact = int(ov >= 1.0 - ATOL)
     if mounted:
         tally.adversary_min_overlap = min(tally.adversary_min_overlap, ov)

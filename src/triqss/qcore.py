@@ -10,19 +10,20 @@ Joint two-qubit measurements take a ``PairBasis`` member: the Bell basis or
 its rotated twin, the only two bases the protocol measures pairs in.
 
 A session revisits the same few states thousands of times, so the kernels
-behind ``measure_qubit``, ``measure_two_qubit_basis`` and ``apply_correction``
-are memoized, each on its own arguments, the ``StateVector`` object among
-them.  A state is immutable and hashes by identity, so an entry can never go
-stale, and the memo holds the state alive, so its identity is never reused.
-Equal states are in practice the same object: every state a round measures
-starts as a cached constructor's result (``signal_state``, ``bell_state``,
-``ghz_state``, ``basis_ket``) and moves on only through memoized results,
-whose post-states are shared in turn.  A state built some other way is merely
-a miss.  Every outcome's Born probability and post-state is computed from the
-amplitudes once per distinct input; results are then shared between calls
-and are immutable (frozen dataclasses over read-only arrays).  Sampling still
-draws the same uniforms in the same order, so a seed's trajectory does not
-depend on what the memo already holds.
+behind ``measure_qubit`` and ``measure_two_qubit_basis``, and
+``apply_correction`` itself, are memoized (the registry's cross-factor kernel
+is the fourth memo), each on its own arguments, the ``StateVector`` object
+among them.  A state is immutable and hashes by identity, so an entry can
+never go stale, and the memo holds the state alive, so its identity is never
+reused.  Equal states are in practice the same object: every state a round
+measures starts as a cached constructor's result (``signal_state``,
+``bell_state``, ``ghz_state``, ``basis_ket``) and moves on only through
+memoized results, whose post-states are shared in turn.  A state built some
+other way is merely a miss.  Every outcome's Born probability and post-state
+is computed from the amplitudes once per distinct input; results are then
+shared between calls and are immutable (frozen dataclasses over read-only
+arrays).  Sampling still draws the same uniforms in the same order, so a
+seed's trajectory does not depend on what the memo already holds.
 
 The enums that key those memos and the lookup tables (``Basis``,
 ``PairBasis``, ``SignalTag``, ``BellOutcome``, ``PauliCorrection``) hash by
@@ -36,8 +37,9 @@ Conventions
 * Amplitudes are stored in the Z product basis with the *first* label as the
   most significant bit, so a two-qubit state over labels ``(B, C)`` orders its
   amplitudes as ``|00>, |01>, |10>, |11>`` with B first.
-* Measurement outcomes are ``+1`` (the first eigenvector of the basis) and
-  ``-1`` (the second).
+* A single-qubit measurement's outcome is ``+1`` (the first eigenvector of
+  the basis) or ``-1`` (the second); a joint measurement's is the
+  ``BellOutcome`` of its row, ``BELL_ORDER[k]``.
 * Born probabilities below ``ZERO_PROB`` are clamped to exactly zero, so
   branches that vanish analytically can never be sampled.
 """
@@ -126,15 +128,13 @@ for _b, (_p, _m) in _BASIS_VECTORS.items():
 
 
 class PauliCorrection(Enum):
-    """Local unitaries used to repair teleported / swapped states."""
+    """The dishonest agent's repairs of his kept photon after a Bell swap."""
 
     __hash__ = object.__hash__  # see the module docstring
 
+    # After phi+: nothing to repair.
     IDENTITY = "identity"
-    SIGMA_X = "sigma_x"
-    SIGMA_Z = "sigma_z"
-    # i*sigma_y = |0><1| - |1><0|, a real rotation.  Applied by the dishonest
-    # agent to his kept photon when his Bell measurement returns the singlet.
+    # After the singlet: i*sigma_y = |0><1| - |1><0|, a real rotation.
     I_SIGMA_Y = "i_sigma_y"
 
     @property
@@ -144,8 +144,6 @@ class PauliCorrection(Enum):
 
 _PAULI_MATRICES: dict[PauliCorrection, np.ndarray] = {
     PauliCorrection.IDENTITY: np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
-    PauliCorrection.SIGMA_X: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    PauliCorrection.SIGMA_Z: np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
     PauliCorrection.I_SIGMA_Y: np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex),
 }
 for _mat in _PAULI_MATRICES.values():
@@ -333,22 +331,15 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Measurement:
-    """Result of a projective single-qubit measurement.
+    """One branch of a projective measurement.
 
-    ``post_state`` no longer contains the measured qubit and is ``None`` when
-    it was the only one.
+    ``outcome`` is ``+1`` or ``-1`` for a single qubit and the row's
+    ``BellOutcome`` for a joint measurement.  ``post_state`` no longer
+    contains the measured qubits and is ``None`` when nothing is left or the
+    branch cannot occur.
     """
 
-    outcome: int
-    probability: float
-    post_state: StateVector | None
-
-
-@dataclass(frozen=True)
-class PairMeasurement:
-    """Result of a joint measurement in an orthonormal two-qubit basis."""
-
-    index: int
+    outcome: int | BellOutcome
     probability: float
     post_state: StateVector | None
 
@@ -411,41 +402,23 @@ def overlap(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amplitudes, b_aligned.amplitudes)) ** 2)
 
 
-def apply_unitary(state: StateVector, label: str, matrix: np.ndarray) -> StateVector:
-    """Apply a 2x2 unitary to one qubit, returning the new state."""
-    mat = np.asarray(matrix, dtype=complex)
-    if mat.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
-    if not np.allclose(mat @ mat.conj().T, np.eye(2), atol=ATOL):
-        raise ValueError("matrix is not unitary")
-    ax = state.axis(label)
-    out = np.tensordot(mat, state.tensor_view(), axes=([1], [ax]))
-    out = np.moveaxis(out, 0, ax)
-    return StateVector(state.labels, out.reshape(-1))
-
-
-def apply_correction(
-    state: StateVector, label: str, correction: PauliCorrection
-) -> StateVector:
-    """Apply one of the repair unitaries to the given qubit."""
-    if correction is PauliCorrection.IDENTITY:
-        state.axis(label)  # still validate the label
-        return state
-    return _corrected(state, label, correction)
-
-
 # Bound on each kernel memo.  All 54 preset x ordering x mode combinations,
-# 20k rounds each, together put 392 entries in the qubit memo and at most 20
-# in any other (seeds 11 and 12 alike); the bound only caps what custom
-# states can add.
+# 20k rounds each, together put 392 entries in the qubit memo, 40 in the
+# correction memo (half of them identity repairs) and at most 20 in any other
+# (seeds 11 and 12 alike); the bound only caps what custom states can add.
 _MEMO_SIZE = 1024
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _corrected(
+def apply_correction(
     state: StateVector, label: str, correction: PauliCorrection
 ) -> StateVector:
-    return apply_unitary(state, label, correction.matrix)
+    """Apply one of the repair unitaries to the given qubit."""
+    ax = state.axis(label)
+    if correction is PauliCorrection.IDENTITY:
+        return state
+    out = np.tensordot(correction.matrix, state.tensor_view(), axes=([1], [ax]))
+    return StateVector(state.labels, np.moveaxis(out, 0, ax).reshape(-1))
 
 
 def _clamp_probability(p: float) -> float:
@@ -458,13 +431,8 @@ def _qubit_residual(state: StateVector, label: str, ket: np.ndarray) -> np.ndarr
     """Unnormalized remainder after projecting one qubit onto ``ket``."""
     ax = state.axis(label)
     view = state.tensor_view()
-    if ax == 0:
-        v0, v1 = view[0], view[1]
-    elif ax == 1:
-        v0, v1 = view[:, 0], view[:, 1]
-    else:
-        v0, v1 = view[:, :, 0], view[:, :, 1]
-    return np.conjugate(ket[0]) * v0 + np.conjugate(ket[1]) * v1
+    k = np.conjugate(ket)
+    return k[0] * view.take(0, ax) + k[1] * view.take(1, ax)
 
 
 def project_qubit(
@@ -490,22 +458,14 @@ def _pair_residual(
     state: StateVector, pair: tuple[str, str], vec4: np.ndarray
 ) -> np.ndarray:
     """Unnormalized remainder after projecting two qubits onto ``vec4``."""
-    view = state.tensor_view()
-    ax1 = state.axis(pair[0])
-    ax2 = state.axis(pair[1])
+    axes = (state.axis(pair[0]), state.axis(pair[1]))
+    t = np.moveaxis(state.tensor_view(), axes, (0, 1))
     v = np.conjugate(vec4)
-    idx = [slice(None)] * state.num_qubits
-    out = None
-    for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        idx[ax1] = i
-        idx[ax2] = j
-        term = v[k] * view[tuple(idx)]
-        out = term if out is None else out + term
-    return out
+    return v[0] * t[0, 0] + v[1] * t[0, 1] + v[2] * t[1, 0] + v[3] * t[1, 1]
 
 
-# A measurement's outcomes and the running sums of their probabilities.
-_Branches = tuple[tuple, tuple[float, ...]]
+# A measurement's branches and the running sums of their probabilities.
+_Branches = tuple[tuple[Measurement, ...], tuple[float, ...]]
 
 
 def measure_qubit(
@@ -522,10 +482,9 @@ def measure_qubit(
 @lru_cache(maxsize=_MEMO_SIZE)
 def _qubit_kernel(state: StateVector, label: str, basis: Basis) -> _Branches:
     """The +1 and -1 branches of a single-qubit measurement."""
-    plus_ket, minus_ket = basis.eigenvectors
-    plus = Measurement(+1, *project_qubit(state, label, plus_ket))
-    minus = Measurement(-1, *project_qubit(state, label, minus_ket))
-    return (plus, minus), (plus.probability, plus.probability + minus.probability)
+    rest = tuple(l for l in state.labels if l != label)
+    residuals = (_qubit_residual(state, label, ket) for ket in basis.eigenvectors)
+    return _branches_from_residuals(residuals, (+1, -1), rest)
 
 
 def measure_two_qubit_basis(
@@ -533,12 +492,12 @@ def measure_two_qubit_basis(
     pair: tuple[str, str],
     basis: PairBasis,
     rng: RandomSource,
-) -> PairMeasurement:
+) -> Measurement:
     """Joint measurement of two qubits in a ``PairBasis``.
 
-    Outcome ``k`` is row ``k`` of ``basis.vectors``, ordered with ``pair[0]``
-    as the most significant bit.  The basis is part of the memo key, so an
-    array in its place raises ``TypeError`` (unhashable).
+    Row ``k`` of ``basis.vectors``, ordered with ``pair[0]`` as the most
+    significant bit, is outcome ``BELL_ORDER[k]``.  The basis is part of the
+    memo key, so an array in its place raises ``TypeError`` (unhashable).
     """
     results, cumulative = _pair_kernel(state, pair, basis)
     return results[rng.born(cumulative)]
@@ -550,13 +509,12 @@ def _pair_kernel(
 ) -> _Branches:
     """All four branches of a joint two-qubit measurement on one state."""
     rest = tuple(l for l in state.labels if l not in pair)
-    return _branches_from_residuals(
-        (_pair_residual(state, pair, vec) for vec in basis.vectors), rest
-    )
+    residuals = (_pair_residual(state, pair, vec) for vec in basis.vectors)
+    return _branches_from_residuals(residuals, BELL_ORDER, rest)
 
 
-def _branches_from_residuals(residuals, rest: tuple[str, ...]) -> _Branches:
-    """Branches from the four unnormalized remainders, in row order.
+def _branches_from_residuals(residuals, outcomes, rest: tuple[str, ...]) -> _Branches:
+    """Branches from the unnormalized remainders, one per outcome, in order.
 
     The post-state over ``rest`` is the normalized remainder, ``None`` when
     nothing is left or the branch cannot occur.
@@ -564,7 +522,7 @@ def _branches_from_residuals(residuals, rest: tuple[str, ...]) -> _Branches:
     results = []
     cumulative = []
     acc = 0.0
-    for k, residual in enumerate(residuals):
+    for outcome, residual in zip(outcomes, residuals):
         prob = _clamp_probability(float(np.vdot(residual, residual).real))
         acc += prob
         post = (
@@ -572,6 +530,6 @@ def _branches_from_residuals(residuals, rest: tuple[str, ...]) -> _Branches:
             if rest and prob > 0.0
             else None
         )
-        results.append(PairMeasurement(k, prob, post))
+        results.append(Measurement(outcome, prob, post))
         cumulative.append(acc)
     return tuple(results), tuple(cumulative)

@@ -22,10 +22,10 @@ import numpy as np
 
 from .qcore import (
     _MEMO_SIZE,
+    BELL_ORDER,
     Basis,
     Measurement,
     PairBasis,
-    PairMeasurement,
     PauliCorrection,
     RandomSource,
     StateVector,
@@ -106,7 +106,7 @@ class PhotonRegistry:
         pair: tuple[str, str],
         basis: PairBasis,
         rng: RandomSource,
-    ) -> PairMeasurement:
+    ) -> Measurement:
         """Joint two-photon measurement in ``basis``; both photons are removed.
 
         The photons may live in one factor or in two distinct factors; in the
@@ -166,4 +166,5 @@ def _across_kernel(
         out += np.multiply.outer(t1[1], v[2] * t2[0] + v[3] * t2[1])
         return out
 
-    return _branches_from_residuals((residual(vec.conj()) for vec in basis.vectors), rest)
+    residuals = (residual(vec.conj()) for vec in basis.vectors)
+    return _branches_from_residuals(residuals, BELL_ORDER, rest)

@@ -1,8 +1,9 @@
 """State constructors and oracles that only the tests need.
 
-The library builds its states from named constructors and measures pairs in
-a ``PairBasis``; tests also need arbitrary amplitudes, products, projections
-onto arbitrary pair vectors and a look inside the registry.  ``project_pair``
+The library builds its states from named constructors, measures pairs in a
+``PairBasis`` and applies only its two repairs; tests also need arbitrary
+amplitudes, products, arbitrary unitaries, projections onto arbitrary pair
+vectors and a look inside the registry.  ``project_pair``
 is computed independently of the library kernels it checks: the pair's axes
 are moved to the front and contracted with the vector in one product.
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from triqss.preparation import HbbPrep, PreparedState
 from triqss.protocol import EFFICIENCY_TOLERANCE, ERROR_THRESHOLD
-from triqss.qcore import ZERO_PROB, RandomSource, StateVector
+from triqss.qcore import ATOL, ZERO_PROB, RandomSource, StateVector
 
 
 # The largest uniform a session's table holds: the top 53 bits all set.
@@ -71,6 +72,22 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     if set(a.labels) & set(b.labels):
         raise ValueError(f"overlapping labels: {a.labels!r} and {b.labels!r}")
     return StateVector(a.labels + b.labels, np.kron(a.amplitudes, b.amplitudes))
+
+
+def apply_unitary(state: StateVector, label: str, matrix) -> StateVector:
+    """Apply a 2x2 unitary to one qubit, returning the new state.
+
+    Raises ``ValueError`` for a matrix that is not 2x2 or not unitary.
+    """
+    mat = np.asarray(matrix, dtype=complex)
+    if mat.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
+    if not np.allclose(mat @ mat.conj().T, np.eye(2), atol=ATOL):
+        raise ValueError("matrix is not unitary")
+    ax = state.axis(label)
+    out = np.tensordot(mat, state.tensor_view(), axes=([1], [ax]))
+    out = np.moveaxis(out, 0, ax)
+    return StateVector(state.labels, out.reshape(-1))
 
 
 def project_pair(

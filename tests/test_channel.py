@@ -26,6 +26,12 @@ class TestChannelConfig:
             ChannelConfig(eta=0.5, eta_prime=eta_prime)
         assert err.value.field == "eta_prime"
 
+    def test_type_error_names_what_is_accepted(self):
+        # numpy.float32 is a number, but not a float subclass JSON can encode.
+        accepted = "must be a number: a Python int or float or a subclass"
+        with pytest.raises(ConfigError, match=accepted):
+            ChannelConfig(eta=np.float32(0.3))
+
     def test_is_frozen(self):
         cfg = ChannelConfig(eta=0.5)
         with pytest.raises(AttributeError):

@@ -7,7 +7,9 @@ imports are compiler directives and are skipped.
 
 Every top-level function and class in the package is read somewhere in the
 package, or is listed in an ``__all__``: a helper left behind when its last
-caller goes fails the scan.
+caller goes fails the scan.  Likewise every method and property of a package
+class is read by name somewhere in the package, so no method serves only the
+tests.
 
 Every random decision in the package is a ``coin``, ``pick`` or ``born``
 draw: no ``.random()`` or ``.integers(...)`` call appears outside the
@@ -131,6 +133,71 @@ def test_the_orphan_scan_flags_only_unread_definitions():
 def test_no_orphaned_definitions():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert orphans(sources) == []
+
+
+def read_members(tree: ast.AST) -> set[str]:
+    """Every name the tree reads as an attribute or a bare name, and every
+    attribute named in a string given to ``attrgetter``."""
+    read = loaded(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and "attrgetter" in (
+            getattr(node.func, "attr", None),
+            getattr(node.func, "id", None),
+        ):
+            for arg in node.args:
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                    read.update(arg.value.split("."))
+    return read
+
+
+def unread_members(sources: dict[str, str]) -> list[str]:
+    """``"module:line: Class.name"`` for each method or property that no
+    module of ``sources`` reads by name; dunder methods are skipped, since
+    Python itself calls them."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*map(read_members, trees.values()))
+    return [
+        f"{module}:{item.lineno}: {cls.name}.{item.name}"
+        for module, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+        and item.name not in read
+    ]
+
+
+def test_the_member_scan_flags_only_unread_methods():
+    sources = {
+        "a.py": (
+            "from operator import attrgetter\n"
+            "class Prep:\n"
+            "    def __post_init__(self): pass\n"
+            "    @property\n"
+            "    def vector(self): return 1\n"
+            "    def state(self, labels): return labels\n"
+            "    def declare(self): pass\n"
+            "    alias = declare\n"
+            "    def encoded(self): pass\n"
+            "    def orphan(self): pass\n"
+            "FIELDS = attrgetter('kind', 'prep.encoded')\n"
+        ),
+        "b.py": "def use(prep):\n    return prep.vector, prep.alias()\n",
+        "c.py": "class Other:\n    def state(self): pass\n",
+    }
+    assert unread_members(sources) == [
+        "a.py:6: Prep.state",
+        "a.py:10: Prep.orphan",
+        "c.py:2: Other.state",
+    ]
+
+
+def test_no_unread_methods_or_properties():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert unread_members(sources) == []
 
 
 def raw_draws(source: str) -> list[str]:

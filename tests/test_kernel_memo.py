@@ -1,10 +1,12 @@
-"""The memoized measurement kernels equal the plain loop versions bit for bit.
+"""The memoized kernels equal the plain loop versions bit for bit.
 
-``measure_qubit``, ``measure_two_qubit_basis``, ``apply_correction`` and the
-registry's cross-factor pair measurement compute every branch of an input
-once and keep it, in a memo keyed on the ``StateVector`` object itself.  The
-reference functions below are the loop versions they replaced, which compute
-the branches in row order and keep the one the uniform selects.  Each loop
+``measure_qubit``, ``measure_two_qubit_basis`` and the registry's
+cross-factor pair measurement compute every branch of an input once and keep
+it, and ``apply_correction`` keeps its result, in a memo keyed on the
+``StateVector`` object itself.  The reference functions below are the loop
+versions they replaced, which compute the branches in row order and keep the
+one the uniform selects; a correction's reference is the general
+``helpers.apply_unitary``.  Each loop
 applies the sampling rules itself: a uniform past the first branch raises
 unless the total is within 1e-6 of 1, and a uniform past a total that
 rounding left short of 1.0 selects the last branch with positive
@@ -21,11 +23,11 @@ import pytest
 from triqss import qcore, registry
 from triqss.harness import PRESET_NAMES, preset_experiment, run_experiment
 from triqss.qcore import (
+    BELL_ORDER,
     Basis,
     BellOutcome,
     Measurement,
     PairBasis,
-    PairMeasurement,
     PauliCorrection,
     SignalTag,
     StateVector,
@@ -34,7 +36,6 @@ from triqss.qcore import (
     _pair_residual,
     _qubit_residual,
     apply_correction,
-    apply_unitary,
     basis_ket,
     bell_state,
     ghz_state,
@@ -44,7 +45,7 @@ from triqss.qcore import (
 )
 from triqss.registry import PhotonRegistry
 
-from helpers import TOP_UNIFORM, FixedUniform, custom_state
+from helpers import TOP_UNIFORM, FixedUniform, apply_unitary, custom_state
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +102,7 @@ def reference_measure_two_qubit_basis(state, pair, basis, rng):
         if rest and prob > 0.0
         else None
     )
-    return PairMeasurement(index, prob, post)
+    return Measurement(BELL_ORDER[index], prob, post)
 
 
 def reference_measure_pair_across(f1, f2, pair, basis, rng):
@@ -131,9 +132,11 @@ def reference_measure_pair_across(f1, f2, pair, basis, rng):
     # Past the total, the last row with positive probability is selected.
     index, prob, residual = chosen or last
     if not rest or prob == 0.0:
-        return PairMeasurement(index, prob, None)
-    return PairMeasurement(
-        index, prob, StateVector._trusted(rest, (residual / np.sqrt(prob)).reshape(-1))
+        return Measurement(BELL_ORDER[index], prob, None)
+    return Measurement(
+        BELL_ORDER[index],
+        prob,
+        StateVector._trusted(rest, (residual / np.sqrt(prob)).reshape(-1)),
     )
 
 
@@ -150,12 +153,9 @@ def probes(boundaries):
 
 
 def assert_same(a, b):
-    assert type(a) is type(b)
+    assert type(a) is type(b) is Measurement
     assert a.probability.hex() == b.probability.hex()
-    if isinstance(a, Measurement):
-        assert a.outcome == b.outcome
-    else:
-        assert a.index == b.index
+    assert a.outcome == b.outcome and type(a.outcome) is type(b.outcome)
     if a.post_state is None or b.post_state is None:
         assert a.post_state is None and b.post_state is None
     else:
@@ -176,8 +176,8 @@ def walk_boundaries(reference):
     row = -1
     while acc < 1.0:
         result = reference(acc)
-        if isinstance(result, PairMeasurement):
-            k = result.index
+        if isinstance(result.outcome, BellOutcome):
+            k = BELL_ORDER.index(result.outcome)
         else:
             k = (1 - result.outcome) // 2
         if k <= row:
@@ -224,7 +224,12 @@ def check_correction(state, label, correction):
     got = apply_correction(state, label, correction)
     want = apply_unitary(state, label, correction.matrix)
     assert got.labels == want.labels
-    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+    if correction is PauliCorrection.IDENTITY:
+        # The input itself; the product with I can only flip a zero's sign.
+        assert got is state
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+    else:
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +241,7 @@ MEMOS = (
     (qcore, "_qubit_kernel"),
     (qcore, "_pair_kernel"),
     (registry, "_across_kernel"),
-    (qcore, "_corrected"),
+    (registry, "apply_correction"),
 )
 
 
@@ -272,7 +277,7 @@ def test_every_entry_after_all_presets_equals_the_loop_kernels(monkeypatch):
         check_pair(state, pair, basis)
     for f1, f2, pair, basis in seen["_across_kernel"].values():
         check_across(f1, f2, pair, basis)
-    for state, label, correction in seen["_corrected"].values():
+    for state, label, correction in seen["apply_correction"].values():
         check_correction(state, label, correction)
     print(
         "memo sizes after all presets:",

@@ -16,6 +16,7 @@ from triqss.qcore import (
     basis_ket,
     ghz_state,
     overlap,
+    signal_state,
 )
 
 from helpers import GeneratorSource
@@ -44,12 +45,10 @@ class TestPreparedState:
         prep = PreparedState.from_tag(tag)
         assert prep.basis_class == basis_class
         assert prep.bit == bit
-        assert prep.state().labels == ("B", "C")
         assert PreparedState(tag) == prep
-
-    def test_state_uses_requested_labels(self):
-        prep = PreparedState.from_tag(SignalTag.PHI_MINUS)
-        assert prep.state(("B'", "C'")).labels == ("B'", "C'")
+        # The round registers this very object, so the memos see one state.
+        assert prep.state is signal_state(tag, ("B", "C"))
+        assert "state" not in repr(prep)
 
 
 class TestHbbPrep:
@@ -70,6 +69,11 @@ class TestHbbPrep:
         assert prep.bit == bit
         assert HbbPrep(basis, outcome) == prep
         assert HbbPrep.from_measurement(basis, outcome) is prep
+        assert prep.state.labels == ("B", "C")
+        expected = REDUCED_BY_DEALER[(basis, outcome)]
+        assert abs(np.vdot(expected, prep.state.amplitudes)) ** 2 == pytest.approx(
+            1.0, abs=1e-9
+        )
 
 
 class TestHbbReduce:
@@ -133,9 +137,3 @@ class TestHardenedPreparation:
         rng = GeneratorSource(np.random.default_rng(41))
         preps = [prepare_hardened_test_round(rng)[0] for _ in range(200)]
         assert len({id(prep) for prep in preps}) == len(set(preps)) == 16
-
-    def test_uses_requested_labels(self):
-        rng = GeneratorSource(np.random.default_rng(0))
-        _, photon_b, photon_c = prepare_hardened_test_round(rng, ("L", "R"))
-        assert photon_b.labels == ("L",)
-        assert photon_c.labels == ("R",)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from triqss.qcore import (
+    BELL_ORDER,
     Basis,
     PairBasis,
     measure_qubit,
@@ -11,7 +12,7 @@ from triqss.qcore import (
     project_qubit,
 )
 
-from helpers import GeneratorSource, custom_state, project_pair
+from helpers import GeneratorSource, apply_unitary, custom_state, project_pair
 
 LABEL_SETS = (("Q",), ("B", "C"), ("A", "B", "C"))
 
@@ -30,8 +31,6 @@ def random_unitary(rng):
 
 class TestRandomizedInvariants:
     def test_unitaries_preserve_norm(self):
-        from triqss.qcore import apply_unitary
-
         rng = np.random.default_rng(101)
         for _ in range(300):
             labels = LABEL_SETS[int(rng.integers(len(LABEL_SETS)))]
@@ -102,7 +101,8 @@ class TestRandomizedInvariants:
             total = sum(project_pair(state, pair, v)[0] for v in basis.vectors)
             assert total == pytest.approx(1.0, abs=1e-9)
             result = measure_two_qubit_basis(state, pair, basis, GeneratorSource(rng))
-            prob, _ = project_pair(state, pair, basis.vectors[result.index])
+            row = BELL_ORDER.index(result.outcome)
+            prob, _ = project_pair(state, pair, basis.vectors[row])
             assert result.probability == pytest.approx(prob, abs=1e-9)
 
     def test_axis_order_does_not_change_statistics(self):

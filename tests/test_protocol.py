@@ -29,7 +29,12 @@ from triqss.protocol import (
 )
 from triqss.adversary import AttackKind, AttackStrategy
 from triqss.conventions import correlated_bases
-from triqss.harness import PRESET_NAMES, preset_experiment, run_experiment
+from triqss.harness import (
+    PRESET_NAMES,
+    ExperimentConfig,
+    preset_experiment,
+    run_experiment,
+)
 from triqss.qcore import ATOL, overlap
 from test_golden import GOLDEN_DIGESTS, GOLDEN_ROUNDS, GOLDEN_SEED, GRID_PRESETS
 
@@ -105,7 +110,8 @@ class TestConfigValidation:
         assert err.value.field == "channel.eta_prime"
 
 
-# Each field's maker, and values it must refuse with a ConfigError naming it.
+# Each maker, and the values it must refuse with a ConfigError naming the
+# field.  A row names its maker when that is not the field's own.
 MAKERS = {
     "kind": lambda value: AttackStrategy(kind=value),
     "cheating_enabled": lambda value: AttackStrategy(cheating_enabled=value),
@@ -117,6 +123,11 @@ MAKERS = {
     ),
     "repetitions": lambda value: preset_experiment("honest", repetitions=value),
     "preset": preset_experiment,
+    "session": lambda value: ExperimentConfig("x", value),
+    "experiment": lambda value: ExperimentConfig("x", honest_config(), value),
+    "hbb experiment": lambda value: ExperimentConfig(
+        "x", honest_config(scheme=Scheme.HBB), value
+    ),
 }
 BAD_INPUTS = [
     ("kind", "early-bell"),
@@ -131,21 +142,33 @@ BAD_INPUTS = [
     ("eta", "0.3"),
     ("eta", float("nan")),
     ("eta", 1.1),
+    ("eta", np.float32(0.3)),  # a number, but not one JSON can encode
     ("strategy", "opaque-deferred"),
     ("channel.eta_prime", (0.0, 0.0)),  # a dead replacement channel
     ("channel.eta_prime", (0.5, 0.4)),  # a replacement channel worse than eta
     ("repetitions", 0),
     ("repetitions", True),
     ("preset", "nope"),
+    ("preset", ["x"]),  # unhashable
+    ("session", "not a session"),
+    ("strategy", "opaque", "experiment"),
+    ("strategy", AttackStrategy(), "hbb experiment"),
 ]
 
 
+def _bad_input_id(row) -> str:
+    field, value, *maker = row
+    return ":".join([*maker, f"{field}={value!r}"])
+
+
 @pytest.mark.parametrize(
-    "field,value", BAD_INPUTS, ids=[f"{field}={value!r}" for field, value in BAD_INPUTS]
+    "field,value,maker",
+    [(row + row[:1])[:3] for row in BAD_INPUTS],  # the field's own maker by default
+    ids=[_bad_input_id(row) for row in BAD_INPUTS],
 )
-def test_bad_input_is_a_config_error_naming_its_field(field, value):
+def test_bad_input_is_a_config_error_naming_its_field(field, value, maker):
     with pytest.raises(ConfigError) as err:
-        MAKERS[field](value)
+        MAKERS[maker](value)
     assert err.value.field == field
 
 
@@ -355,7 +378,7 @@ class TestStateSharingMode:
             assert rec.declared_bob is None
             held = rec.registry.joint_state(("B", "C"))
             assert held is not None
-            expected = rec.preparation.state()
+            expected = rec.preparation.state
             assert overlap(held, expected) == pytest.approx(1.0, abs=ATOL)
 
     def test_test_rounds_still_measured_and_announced(self):

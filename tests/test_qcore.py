@@ -15,7 +15,6 @@ from triqss.qcore import (
     SignalTag,
     StateVector,
     apply_correction,
-    apply_unitary,
     basis_ket,
     bell_state,
     ghz_state,
@@ -31,6 +30,7 @@ from helpers import (
     TOP_UNIFORM,
     FixedUniform,
     GeneratorSource,
+    apply_unitary,
     custom_state,
     project_pair,
     qubit_state,
@@ -209,34 +209,43 @@ class TestOperators:
             overlap(qubit_state(1, 0, "B"), qubit_state(1, 0, "C"))
 
     @pytest.mark.parametrize("labels", [("B",), ("B", "C"), ("A", "B", "C")])
-    def test_apply_unitary_matches_kron_oracle(self, labels):
+    def test_apply_correction_matches_kron_oracle(self, labels):
         rng = np.random.default_rng(11)
         for _ in range(5):
             state = random_state(rng, labels)
-            mat = random_unitary(rng)
-            target = rng.choice(len(labels))
-            got = apply_unitary(state, labels[target], mat)
-            ops = [np.eye(2)] * len(labels)
-            ops[target] = mat
-            full = ops[0]
-            for op in ops[1:]:
-                full = np.kron(full, op)
-            np.testing.assert_allclose(
-                got.amplitudes, full @ state.amplitudes, atol=1e-12
-            )
+            for target, label in enumerate(labels):
+                for correction in PauliCorrection:
+                    got = apply_correction(state, label, correction)
+                    ops = [np.eye(2)] * len(labels)
+                    ops[target] = correction.matrix
+                    full = ops[0]
+                    for op in ops[1:]:
+                        full = np.kron(full, op)
+                    assert got.labels == labels
+                    np.testing.assert_allclose(
+                        got.amplitudes, full @ state.amplitudes, atol=1e-12
+                    )
 
     def test_apply_unitary_rejects_non_unitary(self):
+        # The tests' general rotation checks its matrix; the library's two
+        # repairs are pinned unitary below.
         with pytest.raises(ValueError, match="not unitary"):
             apply_unitary(qubit_state(1, 0), "Q", np.array([[1, 1], [0, 1]]))
         with pytest.raises(ValueError, match="2x2"):
             apply_unitary(qubit_state(1, 0), "Q", np.eye(3))
 
+    @pytest.mark.parametrize("correction", list(PauliCorrection))
+    def test_correction_matrices_are_unitary(self, correction):
+        mat = correction.matrix
+        assert mat.shape == (2, 2)
+        np.testing.assert_allclose(mat @ mat.conj().T, np.eye(2), atol=1e-15)
+        with pytest.raises(ValueError):
+            mat[0, 0] = 2.0
+
     def test_apply_correction_matrices(self):
         state = qubit_state(0.6, 0.8)
-        x = apply_correction(state, "Q", PauliCorrection.SIGMA_X)
-        np.testing.assert_allclose(x.amplitudes, [0.8, 0.6], atol=ATOL)
-        z = apply_correction(state, "Q", PauliCorrection.SIGMA_Z)
-        np.testing.assert_allclose(z.amplitudes, [0.6, -0.8], atol=ATOL)
+        i = apply_correction(state, "Q", PauliCorrection.IDENTITY)
+        np.testing.assert_allclose(i.amplitudes, [0.6, 0.8], atol=ATOL)
         y = apply_correction(state, "Q", PauliCorrection.I_SIGMA_Y)
         np.testing.assert_allclose(y.amplitudes, [0.8, -0.6], atol=ATOL)
 
@@ -338,27 +347,27 @@ class TestSampledMeasurements:
 
     def test_measure_pair_is_deterministic_on_basis_states(self):
         rng = GeneratorSource(np.random.default_rng(23))
-        for idx, kind in enumerate(BELL_ORDER):
+        for kind in BELL_ORDER:
             state = bell_state(kind, ("B", "C"))
             result = measure_two_qubit_basis(state, ("B", "C"), PairBasis.BELL, rng)
-            assert result.index == idx
+            assert result.outcome is kind
             assert result.probability == pytest.approx(1.0, abs=ATOL)
             assert result.post_state is None
 
     def test_measure_pair_uniform_on_ghz(self):
         rng = GeneratorSource(np.random.default_rng(29))
-        counts = np.zeros(4)
+        counts = dict.fromkeys(BELL_ORDER, 0)
         for _ in range(2000):
             result = measure_two_qubit_basis(
                 ghz_state(("A", "B", "C")), ("B", "C"), PairBasis.BELL, rng
             )
-            counts[result.index] += 1
+            counts[result.outcome] += 1
             assert result.post_state.labels == ("A",)
         # GHZ Bell-measured on (B, C) lands on phi+ or phi- only.
-        assert counts[0] / 2000 == pytest.approx(0.5, abs=0.04)
-        assert counts[1] / 2000 == pytest.approx(0.5, abs=0.04)
-        assert counts[2] == 0
-        assert counts[3] == 0
+        assert counts[BellOutcome.PHI_PLUS] / 2000 == pytest.approx(0.5, abs=0.04)
+        assert counts[BellOutcome.PHI_MINUS] / 2000 == pytest.approx(0.5, abs=0.04)
+        assert counts[BellOutcome.PSI_PLUS] == 0
+        assert counts[BellOutcome.PSI_MINUS] == 0
 
     def test_measure_pair_rejects_bad_basis(self):
         # Only a PairBasis member names a joint measurement: a raw array,
@@ -394,10 +403,10 @@ class TestBornDraw:
         top = FixedUniform(TOP_UNIFORM)
         plus_x = basis_ket(Basis.X, +1)
         assert measure_qubit(plus_x, "Q", Basis.X, top).outcome == +1
-        for idx, kind in enumerate(BELL_ORDER):
+        for kind in BELL_ORDER:
             state = bell_state(kind, ("B", "C"))
             result = measure_two_qubit_basis(state, ("B", "C"), PairBasis.BELL, top)
-            assert result.index == idx
+            assert result.outcome is kind
 
     def test_unnormalized_total_raises_past_the_first_branch(self):
         assert FixedUniform(0.2).born((0.25, 0.5)) == 0

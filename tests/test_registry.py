@@ -112,11 +112,11 @@ class TestBookkeeping:
 class TestSameFactorPairMeasurement:
     def test_identifies_bell_states_and_removes_photons(self):
         rng = GeneratorSource(np.random.default_rng(7))
-        for idx, kind in enumerate(BELL_ORDER):
+        for kind in BELL_ORDER:
             reg = PhotonRegistry()
             reg.add(bell_state(kind, ("B'", "C")))
             result = reg.measure_pair(("B'", "C"), PairBasis.BELL, rng)
-            assert result.index == idx
+            assert result.outcome is kind
             assert result.probability == pytest.approx(1.0, abs=ATOL)
             assert labels_of(reg) == set()
 
@@ -125,7 +125,7 @@ class TestSameFactorPairMeasurement:
         reg = PhotonRegistry()
         reg.add(ghz_state(("A", "B", "C")))
         result = reg.measure_pair(("B", "C"), PairBasis.BELL, rng)
-        assert result.index in (0, 1)
+        assert result.outcome in (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)
         assert labels_of(reg) == {"A"}
         assert factor_of(reg, "A").num_qubits == 1
 
@@ -166,7 +166,7 @@ class TestCrossFactorPairMeasurement:
             want_idx, want_prob, want_post = self.oracle(
                 fake, sig, ("B'", "C"), PairBasis.BELL.vectors, u
             )
-            assert result.index == want_idx
+            assert result.outcome is BELL_ORDER[want_idx]
             assert result.probability == pytest.approx(want_prob, abs=ATOL)
             got_post = reg.joint_state(("B", "C'"))
             assert got_post is not None
@@ -187,7 +187,7 @@ class TestCrossFactorPairMeasurement:
                 reg.add(bell_state(BellOutcome.PHI_PLUS, ("B'", "C'")))
                 reg.add(signal_state(tag, ("B", "C")))
                 result = reg.measure_pair(("B'", "C"), PairBasis.BELL, FixedUniform(u))
-                assert result.index == idx
+                assert result.outcome is BELL_ORDER[idx]
                 got = reg.joint_state(("B", "C'"))
                 sig = signal_state(tag).amplitudes.reshape(2, 2)
                 expected = (sig @ paulis[idx].T).reshape(-1)
@@ -210,7 +210,7 @@ class TestCrossFactorPairMeasurement:
             want_idx, want_prob, want_post = self.oracle(
                 pair, lone, ("B'", "C"), PairBasis.BELL.vectors, u
             )
-            assert result.index == want_idx
+            assert result.outcome is BELL_ORDER[want_idx]
             assert result.probability == pytest.approx(want_prob, abs=ATOL)
             got = factor_of(reg, "C'")
             assert got.labels == ("C'",)
