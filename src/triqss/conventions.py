@@ -3,10 +3,11 @@
 For each signal class and each correlated basis pairing, the two agents'
 outcomes are perfectly (anti)correlated and the convention table maps each
 party's outcome to a key bit so that ``k_bob XOR k_charlie`` equals the
-dealer's bit.  The table is generated once by brute-force projector
-arithmetic over the signal state definitions and shipped as a JSON artifact;
-a test regenerates it and asserts equality, so the checked-in file can never
-drift from the algebra.
+dealer's bit.  The table is generated by brute force from the states the
+interned preparations of :mod:`triqss.preparation` carry, measured through
+the same single-qubit kernel the sessions use, and shipped as a JSON
+artifact; a test regenerates it and asserts equality, so the checked-in file
+can never drift from what the dealer sends.
 
 The schemes are the members of :class:`Scheme`.  ``Scheme.KKI`` is the
 four-state entangled-pair scheme whose agents measure in Z/X;
@@ -23,14 +24,8 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 
-from .qcore import (
-    Basis,
-    SignalTag,
-    StateVector,
-    ghz_state,
-    project_qubit,
-    signal_state,
-)
+from .preparation import _HBB_BY_MEASUREMENT, _PREPARED_BY_TAG
+from .qcore import Basis, StateVector, _qubit_kernel
 
 
 class Scheme(Enum):
@@ -45,77 +40,36 @@ class Scheme(Enum):
         return (Basis.Z, Basis.X)
 
 
-# What a preparation encodes: (basis class, dealer bit) by signal tag; for the
-# GHZ scheme the dealer's basis gives the class and her outcome the bit.
-CLASS_BIT_OF_TAG = {
-    SignalTag.PSI_PLUS: (1, 0),
-    SignalTag.PHI_MINUS: (1, 1),
-    SignalTag.PSI_PLUS_ROT: (2, 0),
-    SignalTag.PHI_MINUS_ROT: (2, 1),
-}
-HBB_CLASS_OF_BASIS = {Basis.X: 1, Basis.Y: 2}
-
-
-def hbb_dealer_bit(outcome: int) -> int:
-    """GHZ dealer's key bit for her own measurement outcome (+1 -> 0)."""
-    if outcome not in (+1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    return 0 if outcome == +1 else 1
-
-
 _DATA_FILE = "bit_conventions.json"
 _PROB_ATOL = 1e-9
 
 
-def hbb_reduced_state(alice_basis: Basis, outcome: int) -> StateVector:
-    """Agents' pair state after the GHZ dealer projects her photon.
-
-    Pure projector arithmetic (no sampling); ``outcome`` is +1 or -1 in
-    ``alice_basis``, which must be X or Y.  Built once per ``HbbPrep``,
-    which carries the result as its ``state``.
-    """
-    if alice_basis not in (Basis.X, Basis.Y):
-        raise ValueError(f"dealer measures X or Y, got {alice_basis}")
-    if outcome not in (+1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    ket = alice_basis.eigenvectors[0 if outcome == +1 else 1]
-    prob, post = project_qubit(ghz_state(("A", "B", "C")), "A", ket)
-    if post is None or prob <= 0.0:
-        raise AssertionError("GHZ reduction produced an empty branch")
-    return post
-
-
 def _class_states(scheme: Scheme) -> dict[int, dict[int, StateVector]]:
-    """Map basis class -> dealer bit -> two-qubit state over (B, C)."""
-    states: dict[int, dict[int, StateVector]] = {}
+    """Map basis class -> dealer bit -> two-qubit state over (B, C), read off
+    the scheme's interned preparations."""
     if scheme is Scheme.KKI:
-        for tag, (basis_class, bit) in CLASS_BIT_OF_TAG.items():
-            states.setdefault(basis_class, {})[bit] = signal_state(tag)
+        preps = _PREPARED_BY_TAG.values()
     elif scheme is Scheme.HBB:
-        for basis, basis_class in HBB_CLASS_OF_BASIS.items():
-            for outcome in (+1, -1):
-                states.setdefault(basis_class, {})[hbb_dealer_bit(outcome)] = (
-                    hbb_reduced_state(basis, outcome)
-                )
+        preps = _HBB_BY_MEASUREMENT.values()
     else:
         raise ValueError(f"unknown scheme: {scheme!r}")
+    states: dict[int, dict[int, StateVector]] = {}
+    for prep in preps:
+        states.setdefault(prep.basis_class, {})[prep.bit] = prep.state
     return states
 
 
 def _pair_distribution(
     state: StateVector, bob_basis: Basis, charlie_basis: Basis
 ) -> dict[tuple[int, int], float]:
-    """Joint outcome distribution when B and C are measured locally."""
-    dist: dict[tuple[int, int], float] = {}
-    for ob, ket_b in zip((+1, -1), bob_basis.eigenvectors):
-        p_b, post = project_qubit(state, "B", ket_b)
-        for oc, ket_c in zip((+1, -1), charlie_basis.eigenvectors):
-            if post is None:
-                dist[(ob, oc)] = 0.0
-                continue
-            p_c, _ = project_qubit(post, "C", ket_c)
-            dist[(ob, oc)] = p_b * p_c
-    return dist
+    """Joint outcome distribution when B and C are measured locally; an
+    outcome pair whose Bob branch cannot occur is left out."""
+    return {
+        (bob.outcome, charlie.outcome): bob.probability * charlie.probability
+        for bob in _qubit_kernel(state, "B", bob_basis)[0]
+        if bob.post_state is not None
+        for charlie in _qubit_kernel(bob.post_state, "C", charlie_basis)[0]
+    }
 
 
 def _support(dist: dict[tuple[int, int], float]) -> set[tuple[int, int]]:

@@ -83,6 +83,8 @@ class ExperimentConfig:
     repetitions: int = 1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.scenario, str):
+            raise ConfigError("scenario", f"need a string, got {self.scenario!r}")
         if not _is_int(self.repetitions) or self.repetitions < 1:
             raise ConfigError(
                 "repetitions", f"need a positive integer, got {self.repetitions!r}"
@@ -406,6 +408,8 @@ def sweep_pe(
 # ---------------------------------------------------------------------------
 # Closed-form verification of the interception table
 
+# Tolerance of every probability, overlap and error check the oracle makes.
+_TABLE1_TOL = 1e-9
 _ID2 = np.eye(2, dtype=complex)
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -464,8 +468,8 @@ class Table1Report:
     collapse_cells: tuple[CollapseCell, ...] = ()
 
 
-def _phase_free_match(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    return bool(abs(abs(np.vdot(a, b)) - 1.0) < tol)
+def _phase_free_match(a: np.ndarray, b: np.ndarray) -> bool:
+    return bool(abs(abs(np.vdot(a, b)) - 1.0) < _TABLE1_TOL)
 
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -530,7 +534,7 @@ def _project_second(pair_state: np.ndarray, ket: np.ndarray) -> tuple[float, np.
 
 
 def _collapse_checks(
-    signal_name: str, branch: str, pair_state: np.ndarray, tol: float
+    signal_name: str, branch: str, pair_state: np.ndarray
 ) -> tuple[list[CollapseCell], list[str]]:
     """Check all four second-photon outcomes plus the closed-form collapse."""
     cells: list[CollapseCell] = []
@@ -551,12 +555,12 @@ def _collapse_checks(
                 overlap=overlap,
             )
         )
-        if abs(prob - 0.5) > tol:
+        if abs(prob - 0.5) > _TABLE1_TOL:
             failures.append(
                 f"{where}: ({c_basis},{c_out:+d}) occurs with "
                 f"probability {prob:.6f} != 1/2"
             )
-        if overlap < 1.0 - tol:
+        if overlap < 1.0 - _TABLE1_TOL:
             failures.append(
                 f"{where}: ({c_basis},{c_out:+d}) leaves overlap {overlap:.9f} "
                 f"with ({b_basis},{b_out:+d})"
@@ -566,7 +570,7 @@ def _collapse_checks(
         prob, bob = _project_second(pair_state, ket)
         expected = _GENERAL_COLLAPSE[signal_name](a, b)
         expected = expected / np.linalg.norm(expected)
-        if abs(prob - 0.5) > tol or not _phase_free_match(expected, bob, tol):
+        if abs(prob - 0.5) > _TABLE1_TOL or not _phase_free_match(expected, bob):
             failures.append(
                 f"{where}: closed-form collapse fails for "
                 f"second-photon state ({a:+.2f}, {b:+.2f})"
@@ -609,7 +613,7 @@ def _correlated_error(vec4: np.ndarray, basis_class: int, bit: int) -> float:
     return float(np.mean(errors))
 
 
-def verify_table1(tol: float = 1e-9) -> Table1Report:
+def verify_table1() -> Table1Report:
     """Re-derive the full interception table from first principles.
 
     Builds signal ⊗ substituted-pair four-photon states with raw linear
@@ -665,20 +669,20 @@ def verify_table1(tol: float = 1e-9) -> Table1Report:
             amp = np.einsum("bcpq,pc->bq", full, np.conj(e_mat)).reshape(4)
             prob = float(np.vdot(amp, amp).real)
             total_prob += prob
-            if abs(prob - 0.25) > tol:
+            if abs(prob - 0.25) > _TABLE1_TOL:
                 failures.append(
                     f"{signal_name}/{outcome_name}: probability {prob:.6f} != 1/4"
                 )
             collapsed = amp / np.sqrt(prob)
             pauli_name, pauli = _PAULI_OF_OUTCOME[outcome_name]
-            matches = _phase_free_match(_second_qubit(pauli, signal), collapsed, tol)
+            matches = _phase_free_match(_second_qubit(pauli, signal), collapsed)
             if not matches:
                 failures.append(
                     f"{signal_name}/{outcome_name}: collapse is not "
                     f"(I x {pauli_name}) applied to the signal"
                 )
             for name, op in _ALL_CORRECTIONS.items():
-                if not _phase_free_match(_first_qubit(op, collapsed), signal, tol):
+                if not _phase_free_match(_first_qubit(op, collapsed), signal):
                     universal_ok[outcome_name][name] = False
             if outcome_name in _UNIVERSAL_REPAIRS:
                 repair_name, repair = _UNIVERSAL_REPAIRS[outcome_name]
@@ -687,7 +691,7 @@ def verify_table1(tol: float = 1e-9) -> Table1Report:
                 branch_states[branch] = checked
                 error = _correlated_error(checked, basis_class, bit)
                 repaired_by = repair_name
-                if error > tol:
+                if error > _TABLE1_TOL:
                     failures.append(
                         f"{signal_name}/{outcome_name}: repaired state still "
                         f"shows error {error:.6f}"
@@ -695,7 +699,7 @@ def verify_table1(tol: float = 1e-9) -> Table1Report:
             else:
                 error = _correlated_error(collapsed, basis_class, bit)
                 repaired_by = None
-                if abs(error - 0.5) > tol:
+                if abs(error - 0.5) > _TABLE1_TOL:
                     failures.append(
                         f"{signal_name}/{outcome_name}: unrepaired error "
                         f"{error:.6f} != 1/2"
@@ -710,11 +714,11 @@ def verify_table1(tol: float = 1e-9) -> Table1Report:
                     mean_correlated_error=error,
                 )
             )
-        if abs(total_prob - 1.0) > tol:
+        if abs(total_prob - 1.0) > _TABLE1_TOL:
             failures.append(f"{signal_name}: outcome probabilities sum to {total_prob}")
         for branch, pair_state in branch_states.items():
             branch_cells, branch_failures = _collapse_checks(
-                signal_name, branch, pair_state, tol
+                signal_name, branch, pair_state
             )
             collapse_cells.extend(branch_cells)
             failures.extend(branch_failures)

@@ -8,6 +8,9 @@ Three kinds of round leave the dealer's lab:
   Y, which steers the agents' pair into one of four states;
 * hardened test rounds: two independent single-photon states, one per leg,
   drawn like check states in prepare-and-measure key distribution.
+
+Each pair preparation carries its class, its bit and the pair ``state`` it
+sends; ``conventions`` derives its decoding table from them.
 """
 
 from __future__ import annotations
@@ -15,17 +18,34 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .conventions import CLASS_BIT_OF_TAG, HBB_CLASS_OF_BASIS
-from .conventions import hbb_dealer_bit, hbb_reduced_state
 from .qcore import (
     Basis,
     RandomSource,
     SignalTag,
     StateVector,
+    _qubit_kernel,
     basis_ket,
+    ghz_state,
     measure_qubit,
     signal_state,
 )
+
+# What a preparation encodes: (basis class, dealer bit) by signal tag; for the
+# GHZ scheme the dealer's basis gives the class and her outcome the bit.
+CLASS_BIT_OF_TAG = {
+    SignalTag.PSI_PLUS: (1, 0),
+    SignalTag.PHI_MINUS: (1, 1),
+    SignalTag.PSI_PLUS_ROT: (2, 0),
+    SignalTag.PHI_MINUS_ROT: (2, 1),
+}
+HBB_CLASS_OF_BASIS = {Basis.X: 1, Basis.Y: 2}
+
+
+def hbb_dealer_bit(outcome: int) -> int:
+    """GHZ dealer's key bit for her own measurement outcome (+1 -> 0)."""
+    if outcome not in (+1, -1):
+        raise ValueError(f"outcome must be +1 or -1, got {outcome}")
+    return 0 if outcome == +1 else 1
 
 
 @dataclass(frozen=True)
@@ -59,10 +79,12 @@ class HbbPrep:
     state: StateVector = field(init=False, compare=False, repr=False)  # over (B, C)
 
     def __post_init__(self) -> None:
-        basis, outcome = self.dealer_basis, self.dealer_outcome
+        basis = self.dealer_basis
         object.__setattr__(self, "basis_class", HBB_CLASS_OF_BASIS[basis])
-        object.__setattr__(self, "bit", hbb_dealer_bit(outcome))
-        object.__setattr__(self, "state", hbb_reduced_state(basis, outcome))
+        object.__setattr__(self, "bit", hbb_dealer_bit(self.dealer_outcome))
+        # The memo entry hbb_reduce samples; branch 0 is outcome +1, bit 0.
+        branches, _ = _qubit_kernel(ghz_state(("A", "B", "C")), "A", basis)
+        object.__setattr__(self, "state", branches[self.bit].post_state)
 
     @classmethod
     def from_measurement(cls, dealer_basis: Basis, outcome: int) -> "HbbPrep":
@@ -79,8 +101,7 @@ class HardenedPrep:
     charlie_sign: int
 
 
-# Every possible preparation, built once (which reads its class and bit off the
-# ``conventions`` tables) and shared by the rounds that draw it.
+# Every possible preparation, built once and shared by the rounds that draw it.
 _PREPARED_BY_TAG = {tag: PreparedState(tag) for tag in CLASS_BIT_OF_TAG}
 _HBB_BY_MEASUREMENT = {
     key: HbbPrep(*key) for key in product(HBB_CLASS_OF_BASIS, (+1, -1))
@@ -96,7 +117,8 @@ def hbb_reduce(
 ) -> tuple[int, StateVector]:
     """Measure the dealer's GHZ photon ``A``, collapsing the agents' pair.
 
-    Returns ``(outcome, two-qubit post state)``.  The dealer only ever uses
+    Returns ``(outcome, two-qubit post state)``: on the GHZ state, the memo
+    branch ``HbbPrep`` carries as its ``state``.  The dealer only ever uses
     X or Y here; Z is rejected because it would collapse the agents into a
     product state and leak nothing shareable.
     """

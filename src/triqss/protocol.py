@@ -334,15 +334,15 @@ def _prepare_round(
 ) -> Preparation:
     if config.scheme is Scheme.HBB:
         dealer_basis = Basis.X if rng.coin(0.5) else Basis.Y
-        outcome, pair = hbb_reduce(ghz_state(("A", "B", "C")), dealer_basis, rng)
-        registry.add(pair)
-        return HbbPrep.from_measurement(dealer_basis, outcome)
-    if config.scheme is Scheme.HARDENED_KKI and test_coin:
+        outcome, _ = hbb_reduce(ghz_state(("A", "B", "C")), dealer_basis, rng)
+        prep = HbbPrep.from_measurement(dealer_basis, outcome)
+    elif config.scheme is Scheme.HARDENED_KKI and test_coin:
         prep, photon_b, photon_c = prepare_hardened_test_round(rng)
         registry.add(photon_b)
         registry.add(photon_c)
         return prep
-    prep = PreparedState.from_tag(SIGNAL_ORDER[rng.pick(4)])
+    else:
+        prep = PreparedState.from_tag(SIGNAL_ORDER[rng.pick(4)])
     registry.add(prep.state)
     return prep
 

@@ -7,7 +7,8 @@ per-round stream, and make every random decision through its ``coin``,
 ``pick`` or ``born`` draw, so a fixed seed reproduces the same trajectory.
 
 Joint two-qubit measurements take a ``PairBasis`` member: the Bell basis or
-its rotated twin, the only two bases the protocol measures pairs in.
+its rotated twin, the only two bases the protocol measures pairs in.  A
+single-qubit projection has one path: the kernel behind ``measure_qubit``.
 
 A session revisits the same few states thousands of times, so the kernels
 behind ``measure_qubit`` and ``measure_two_qubit_basis``, and
@@ -403,7 +404,8 @@ def overlap(a: StateVector, b: StateVector) -> float:
 
 
 # Bound on each kernel memo.  All 54 preset x ordering x mode combinations,
-# 20k rounds each, together put 392 entries in the qubit memo, 40 in the
+# 20k rounds each, together put 392 entries in the qubit memo (2 of them, the
+# GHZ measurements the preparations read, made at import), 40 in the
 # correction memo (half of them identity repairs) and at most 20 in any other
 # (seeds 11 and 12 alike); the bound only caps what custom states can add.
 _MEMO_SIZE = 1024
@@ -433,25 +435,6 @@ def _qubit_residual(state: StateVector, label: str, ket: np.ndarray) -> np.ndarr
     view = state.tensor_view()
     k = np.conjugate(ket)
     return k[0] * view.take(0, ax) + k[1] * view.take(1, ax)
-
-
-def project_qubit(
-    state: StateVector, label: str, ket: np.ndarray
-) -> tuple[float, StateVector | None]:
-    """Project one qubit onto ``ket``.
-
-    Returns ``(probability, normalized remainder)``; the remainder is ``None``
-    when the probability clamps to zero or no qubits are left.
-    """
-    ket = np.asarray(ket, dtype=complex).reshape(2)
-    residual = _qubit_residual(state, label, ket)
-    prob = _clamp_probability(float(np.vdot(residual, residual).real))
-    if prob == 0.0:
-        return 0.0, None
-    rest = tuple(l for l in state.labels if l != label)
-    if not rest:
-        return prob, None
-    return prob, StateVector._trusted(rest, (residual / np.sqrt(prob)).reshape(-1))
 
 
 def _pair_residual(

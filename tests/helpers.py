@@ -2,10 +2,11 @@
 
 The library builds its states from named constructors, measures pairs in a
 ``PairBasis`` and applies only its two repairs; tests also need arbitrary
-amplitudes, products, arbitrary unitaries, projections onto arbitrary pair
-vectors and a look inside the registry.  ``project_pair``
-is computed independently of the library kernels it checks: the pair's axes
-are moved to the front and contracted with the vector in one product.
+amplitudes, products, arbitrary unitaries, projections onto arbitrary
+single-qubit kets and pair vectors, and a look inside the registry.
+``project_qubit`` and ``project_pair`` are computed independently of the
+library kernels they check: the measured axes are moved to the front and
+contracted with the ket or vector in one product.
 
 The library draws from a ``RandomSource``; ``GeneratorSource`` puts a numpy
 ``Generator`` behind one, and ``FixedUniform`` feeds one uniform to every draw.
@@ -88,6 +89,25 @@ def apply_unitary(state: StateVector, label: str, matrix) -> StateVector:
     out = np.tensordot(mat, state.tensor_view(), axes=([1], [ax]))
     out = np.moveaxis(out, 0, ax)
     return StateVector(state.labels, out.reshape(-1))
+
+
+def project_qubit(
+    state: StateVector, label: str, ket
+) -> tuple[float, StateVector | None]:
+    """Project one qubit onto a 2-amplitude ket.
+
+    Returns ``(probability, normalized remainder)``; the remainder is ``None``
+    when the probability is below ``ZERO_PROB`` or no qubits are left.
+    """
+    moved = np.moveaxis(state.tensor_view(), state.axis(label), 0).reshape(2, -1)
+    residual = np.conjugate(np.asarray(ket, dtype=complex).reshape(2)) @ moved
+    prob = float(np.vdot(residual, residual).real)
+    if prob < ZERO_PROB:
+        return 0.0, None
+    rest = tuple(l for l in state.labels if l != label)
+    if not rest:
+        return prob, None
+    return prob, StateVector(rest, residual / np.sqrt(prob))
 
 
 def project_pair(

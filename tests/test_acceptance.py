@@ -29,16 +29,10 @@ from triqss.harness import (
 )
 from triqss.preparation import hbb_reduce
 from triqss.protocol import OrderingPolicy, RoundKind
-from triqss.qcore import (
-    Basis,
-    ghz_state,
-    measure_qubit,
-    project_qubit,
-    signal_state,
-)
+from triqss.qcore import Basis, ghz_state, measure_qubit, signal_state
 from triqss.stats import ratio
 
-from helpers import GeneratorSource, custom_state
+from helpers import GeneratorSource, custom_state, project_qubit
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -63,7 +57,7 @@ def vulnerable_run():
 
 def test_criterion_01_interception_table():
     """All 16 swap cells and both repair branches, overlap >= 1 - 1e-9."""
-    report = verify_table1(tol=1e-9)
+    report = verify_table1()
     assert report.passed, report.failures
     assert len(report.cells) == 16
     for cell in report.cells:

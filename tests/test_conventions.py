@@ -13,10 +13,9 @@ from triqss.conventions import (
     convention_bit,
     correlated_bases,
     generate_convention_table,
-    hbb_dealer_bit,
-    hbb_reduced_state,
     load_convention_table,
 )
+from triqss.preparation import HbbPrep, hbb_dealer_bit
 from triqss.qcore import Basis
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -204,10 +203,6 @@ class TestHbbHelpers:
     def test_reduced_states_match_projector_arithmetic(
         self, basis, outcome, expected
     ):
-        got = hbb_reduced_state(basis, outcome)
+        got = HbbPrep.from_measurement(basis, outcome).state
         assert got.labels == ("B", "C")
         np.testing.assert_allclose(got.amplitudes, expected, atol=1e-9)
-
-    def test_reduced_state_rejects_z_basis(self):
-        with pytest.raises(ValueError, match="X or Y"):
-            hbb_reduced_state(Basis.Z, +1)

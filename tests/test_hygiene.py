@@ -5,11 +5,11 @@ by ``import`` or ``from ... import`` must be loaded at least once, or be
 listed in the module's ``__all__`` (a re-export).  ``from __future__``
 imports are compiler directives and are skipped.
 
-Every top-level function and class in the package is read somewhere in the
-package, or is listed in an ``__all__``: a helper left behind when its last
-caller goes fails the scan.  Likewise every method and property of a package
-class is read by name somewhere in the package, so no method serves only the
-tests.
+Every top-level function, class and constant (a name bound by a top-level
+assignment) in the package is read somewhere in the package, or is listed in
+an ``__all__``: a helper or table left behind when its last reader goes fails
+the scan.  Likewise every method and property of a package class is read by
+name somewhere in the package, so no method serves only the tests.
 
 Every random decision in the package is a ``coin``, ``pick`` or ``born``
 draw: no ``.random()`` or ``.integers(...)`` call appears outside the
@@ -103,17 +103,37 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def top_level_names(node: ast.stmt) -> list[str]:
+    """The names a top-level statement binds by ``def``, ``class`` or an
+    assignment; dunder names such as ``__all__`` are skipped."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [
+        name.id
+        for target in targets
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name)
+        and not (name.id.startswith("__") and name.id.endswith("__"))
+    ]
+
+
 def orphans(sources: dict[str, str]) -> list[str]:
-    """``"module:line: name"`` for each top-level function or class that no
-    module of ``sources`` reads and no ``__all__`` lists."""
+    """``"module:line: name"`` for each top-level function, class or constant
+    that no module of ``sources`` reads and no ``__all__`` lists."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     used = set().union(*(loaded(tree) | exported(tree) for tree in trees.values()))
     return [
-        f"{module}:{node.lineno}: {node.name}"
+        f"{module}:{node.lineno}: {name}"
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in used
+        for name in top_level_names(node)
+        if name not in used
     ]
 
 
@@ -128,6 +148,22 @@ def test_the_orphan_scan_flags_only_unread_definitions():
         "b.py": "from a import _helper\nclass B:\n    def _orphan(self): _helper()\n",
     }
     assert orphans(sources) == ["a.py:4: _orphan", "b.py:2: B"]
+
+
+def test_the_orphan_scan_flags_only_unread_constants():
+    sources = {
+        "a.py": (
+            "__all__ = ['PUBLIC']\n"
+            "PUBLIC = 1\n"
+            "_TABLE: dict = {}\n"
+            "_LEFT, _RIGHT = 2, 3\n"
+            "_STALE: int = 4\n"
+            "for _i in range(2): pass\n"
+            "def f(): return _TABLE, _i\n"
+        ),
+        "b.py": "from a import _LEFT, f\nf(_LEFT)\n",
+    }
+    assert orphans(sources) == ["a.py:4: _RIGHT", "a.py:5: _STALE"]
 
 
 def test_no_orphaned_definitions():

@@ -19,7 +19,7 @@ from triqss.qcore import (
     signal_state,
 )
 
-from helpers import GeneratorSource
+from helpers import FixedUniform, GeneratorSource
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -88,6 +88,21 @@ class TestHbbReduce:
             assert abs(np.vdot(expected, post.amplitudes)) ** 2 == pytest.approx(
                 1.0, abs=1e-9
             )
+
+    @pytest.mark.parametrize("basis", [Basis.X, Basis.Y])
+    @pytest.mark.parametrize("outcome", [+1, -1])
+    def test_post_state_is_the_preparation_state(self, basis, outcome):
+        # One memo entry is the GHZ collapse's only home.  A preparation built
+        # now reads the entry hbb_reduce samples; the interned one read it at
+        # import, and is the same object until the bounded memo evicts the
+        # entry, as the property suites' thousands of random states do.
+        prep = HbbPrep(basis, outcome)
+        rng = FixedUniform(0.25 if outcome == +1 else 0.75)
+        got, post = hbb_reduce(ghz_state(("A", "B", "C")), basis, rng)
+        assert got == outcome
+        assert post is prep.state
+        interned = HbbPrep.from_measurement(basis, outcome).state
+        assert post.amplitudes.tobytes() == interned.amplitudes.tobytes()
 
     def test_outcomes_are_balanced(self):
         rng = GeneratorSource(np.random.default_rng(19))

@@ -9,10 +9,15 @@ from triqss.qcore import (
     PairBasis,
     measure_qubit,
     measure_two_qubit_basis,
-    project_qubit,
 )
 
-from helpers import GeneratorSource, apply_unitary, custom_state, project_pair
+from helpers import (
+    GeneratorSource,
+    apply_unitary,
+    custom_state,
+    project_pair,
+    project_qubit,
+)
 
 LABEL_SETS = (("Q",), ("B", "C"), ("A", "B", "C"))
 

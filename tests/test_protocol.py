@@ -35,10 +35,11 @@ from triqss.harness import (
     preset_experiment,
     run_experiment,
 )
-from triqss.qcore import ATOL, overlap
+from triqss.qcore import ATOL, Basis, overlap
+from triqss.registry import PhotonRegistry
 from test_golden import GOLDEN_DIGESTS, GOLDEN_ROUNDS, GOLDEN_SEED, GRID_PRESETS
 
-from helpers import TOP_UNIFORM, FixedUniform
+from helpers import TOP_UNIFORM, FixedUniform, factor_of
 
 
 def honest_config(**overrides):
@@ -123,6 +124,7 @@ MAKERS = {
     ),
     "repetitions": lambda value: preset_experiment("honest", repetitions=value),
     "preset": preset_experiment,
+    "scenario": lambda value: ExperimentConfig(value, honest_config()),
     "session": lambda value: ExperimentConfig("x", value),
     "experiment": lambda value: ExperimentConfig("x", honest_config(), value),
     "hbb experiment": lambda value: ExperimentConfig(
@@ -150,6 +152,8 @@ BAD_INPUTS = [
     ("repetitions", True),
     ("preset", "nope"),
     ("preset", ["x"]),  # unhashable
+    ("scenario", 5),
+    ("scenario", None),
     ("session", "not a session"),
     ("strategy", "opaque", "experiment"),
     ("strategy", AttackStrategy(), "hbb experiment"),
@@ -400,6 +404,17 @@ class TestHbbScheme:
         k_a, k_b, k_c = distill_keys(transcript)
         assert len(k_a) > 500
         np.testing.assert_array_equal(k_a, k_b ^ k_c)
+
+    @pytest.mark.parametrize("u", [0.25, 0.75])  # X then +1; Y then -1
+    def test_a_round_registers_its_preparation_state(self, u):
+        registry = PhotonRegistry()
+        prep = protocol._prepare_round(
+            honest_config(scheme=Scheme.HBB), False, registry, FixedUniform(u)
+        )
+        assert (prep.dealer_basis, prep.dealer_outcome) == (
+            (Basis.X, +1) if u < 0.5 else (Basis.Y, -1)
+        )
+        assert factor_of(registry, "B") is prep.state
 
 
 class TestTranscriptExport:

@@ -21,7 +21,6 @@ from triqss.qcore import (
     measure_qubit,
     measure_two_qubit_basis,
     overlap,
-    project_qubit,
     signal_state,
 )
 from triqss.registry import PhotonRegistry
@@ -33,6 +32,7 @@ from helpers import (
     apply_unitary,
     custom_state,
     project_pair,
+    project_qubit,
     qubit_state,
     tensor,
 )
