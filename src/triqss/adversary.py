@@ -137,28 +137,21 @@ class ActiveAdversary:
         Untouched rounds pass through with the same thinning on the far leg.
         """
         rec.attacked = rng.coin(self.fraction)
-        pair_arrived = rng.coin(self.channel.eta_prime)
-        if not pair_arrived:
+        if not rng.coin(self.channel.eta_prime):
             for label in ("B", "C"):
                 rec.registry.discard(label, rng)
-            rec.delivered_bob = False
-            rec.delivered_charlie = False
             if rec.attacked:
                 rec.branch = "unattackable"
             return
         rec.delivered_bob = True
+        rec.attack_mounted = rec.attacked
         if rec.attacked:
-            rec.attack_mounted = True
             rec.registry.add(bell_state(BellOutcome.PHI_PLUS, (FAKE_BOB, FAKE_CHARLIE)))
-            rec.delivered_charlie = loss_filter(self.keep, rng)
-            if not rec.delivered_charlie:
-                rec.registry.discard(FAKE_CHARLIE, rng)
-            if self.strategy.kind is AttackKind.EARLY_BELL:
-                self._bell_swap(rec, rng)
-        else:
-            rec.delivered_charlie = loss_filter(self.keep, rng)
-            if not rec.delivered_charlie:
-                rec.registry.discard("C", rng)
+        rec.delivered_charlie = loss_filter(self.keep, rng)
+        if not rec.delivered_charlie:
+            rec.registry.discard(FAKE_CHARLIE if rec.attacked else "C", rng)
+        if rec.attacked and self.strategy.kind is AttackKind.EARLY_BELL:
+            self._bell_swap(rec, rng)
 
     def _bell_swap(self, rec, rng: RandomSource) -> None:
         """Bell-measure (kept fake half, intercepted second photon).
@@ -178,21 +171,16 @@ class ActiveAdversary:
             rec.registry.apply("B", correction)  # only the honest-like B is left
 
     # -- announcements ----------------------------------------------------
+    # The round engine declares every lost photon lost; each method below is
+    # asked only about a photon that reached Bob.
 
     def bob_measures_immediately(self, rec) -> bool:
-        """Whether Bob behaves like an honest receiver at arrival time."""
-        if not rec.delivered_bob:
-            return False
-        if not rec.attacked:
-            return True
-        if self.strategy.kind is AttackKind.EARLY_BELL:
-            return rec.branch == "good"
-        return False  # deferred: keep everything unmeasured
+        """Whether Bob measures on arrival: an intercepted photon only once its
+        swap came out good, which the deferred strategy has not tried yet."""
+        return not rec.attacked or rec.branch == "good"
 
     def sifting_declaration(self, rec, rng: RandomSource) -> bool:
         """Detection declared before the designation (sifting) or for a key round."""
-        if not rec.delivered_bob:
-            return False
         if self.strategy.kind is AttackKind.EARLY_BELL:
             return not rec.attacked or rec.branch == "good"
         # Deferred strategy: declare at the honest-looking rate on every
@@ -204,15 +192,12 @@ class ActiveAdversary:
     def untouched_test_declaration(self, rec, rng: RandomSource) -> bool:
         """Detection declaration for a non-attacked round designated as test.
 
-        Entangled rounds are declared whenever they arrived: attacked test
-        rounds surface at half the replacement rate, so untouched ones must
-        surface at the full replacement rate for the blend to sit at the
-        honest rate.  Product (hardened) test rounds are thinned to the
-        honest rate directly because attacked ones are answered at that rate
-        too.
+        Entangled rounds are always declared: attacked test rounds surface at
+        half the replacement rate, so untouched ones must surface at the full
+        replacement rate for the blend to sit at the honest rate.  Product
+        (hardened) test rounds are thinned to the honest rate directly because
+        attacked ones are answered at that rate too.
         """
-        if not rec.delivered_bob:
-            return False
         if self.strategy.kind is AttackKind.EARLY_BELL:
             return True
         if isinstance(rec.preparation, HardenedPrep):
@@ -235,9 +220,6 @@ class ActiveAdversary:
         declared at the advertised rate, unless the detection is already
         public (sifting), which was thinned then.
         """
-        if not rec.attack_mounted:  # lost on the way: already "unattackable"
-            rec.declared_bob = False
-            return
         if self.strategy.kind is AttackKind.EARLY_BELL:
             rec.declared_bob = rec.branch == "good"
             return

@@ -88,12 +88,13 @@ def _load_config_file(args: argparse.Namespace) -> None:
         if not isinstance(data, dict):
             raise ConfigError("config", f"{args.config} must hold a JSON object")
         args._config_data = data
+        _check_config_keys(args)
 
 
 def _check_config_keys(args: argparse.Namespace) -> None:
     """Reject a ``--config`` key that is not an option of the subcommand's
     own parser, a value outside that option's argparse choices, or a file
-    path that is not a string."""
+    path that is not a string, before any value is used."""
     actions = {action.dest: action for action in args._parser._actions}
     for key, value in args._config_data.items():
         action = actions.get(key)
@@ -222,9 +223,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ordering=OrderingPolicy(ordering) if ordering else None,
         mode=Mode(mode) if mode else None,
     )
-    # After the library's own checks, whose messages name a bad preset,
-    # ordering or mode value.
-    _check_config_keys(args)
     transcript_path = _merge(args, "transcript", None)
     report = run_experiment(config, keep_transcripts=transcript_path is not None)
     _print_run_summary(report)
@@ -262,7 +260,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if not isinstance(raw, list) or not raw:
             raise ConfigError("eta_primes", "need a list of at least one efficiency")
         given["eta_prime_values"] = tuple(raw)
-    _check_config_keys(args)
     rows = sweep_pe(**given)
     header = (
         f"{'eta_prime':>9} {'formula_f':>9} {'measured_f':>10} "

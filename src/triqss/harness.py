@@ -206,18 +206,17 @@ def preset_experiment(
             "preset",
             f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}",
         ) from None
-    if ordering is None:
-        ordering = entry.get("ordering", OrderingPolicy.VULNERABLE)
-    if mode is None:
-        mode = entry.get("mode", Mode.CLASSICAL_KEY)
+    # Only what the preset or the caller sets; SessionConfig has the defaults.
+    settings = {key: value for key, value in entry.items() if key != "strategy"}
+    for key, value in (("ordering", ordering), ("mode", mode)):
+        if value is not None:
+            settings[key] = value
     session = SessionConfig(
         channel=ChannelConfig(eta=eta, eta_prime=eta_prime),
         rounds=rounds,
         test_fraction=test_fraction,
-        ordering=ordering,
-        mode=mode,
-        scheme=entry.get("scheme", Scheme.KKI),
         seed=seed,
+        **settings,
     )
     return ExperimentConfig(
         scenario=name,

@@ -369,9 +369,11 @@ def _play_round(
     ``_schedule(config)`` and ``bases`` is ``config.scheme.agent_bases``; the
     caller computes both once per session.
 
-    The adversary only decides what Bob declares.  Bob's photon is measured
-    here: on arrival when he behaves like an honest receiver, and otherwise,
-    once the designation is final, on every test round he declared.
+    The adversary only decides what Bob declares, and only for a photon that
+    reached him: the engine declares every lost photon lost, for an honest
+    or a dishonest Bob.  Bob's photon is measured here: on arrival when he
+    behaves like an honest receiver, and otherwise, once the designation is
+    final, on every test round he declared.
     """
     state_sharing, sifting, refined = schedule
     registry = PhotonRegistry()
@@ -404,14 +406,12 @@ def _play_round(
         rec.charlie_basis, rec.charlie_outcome = registry.measure_random_basis(
             FAKE_CHARLIE if rec.attack_mounted else "C", bases, rng
         )
-    if not state_sharing and (
-        rec.delivered_bob
-        if adversary is None
-        else adversary.bob_measures_immediately(rec)
+    if not state_sharing and rec.delivered_bob and (
+        adversary is None or adversary.bob_measures_immediately(rec)
     ):
         rec.bob_basis, rec.bob_outcome = registry.measure_random_basis("B", bases, rng)
 
-    if adversary is None:
+    if adversary is None or not rec.delivered_bob:
         rec.declared_bob = rec.delivered_bob
     elif sifting:
         rec.declared_bob = adversary.sifting_declaration(rec, rng)

@@ -12,15 +12,21 @@ The library draws from a ``RandomSource``; ``GeneratorSource`` puts a numpy
 ``Generator`` behind one, and ``FixedUniform`` feeds one uniform to every draw.
 ``TOP_UNIFORM`` is the largest uniform a session draws.
 
+``fresh_memos`` gives a test that pushes many states through the measurement
+kernels memos of its own, so the shared ones keep their import-time entries.
+
 ``reference_jsonl`` is the transcript encoder the exporter started as: one
 sorted-key dict per line, encoded in full, with no template shared between
 rounds.  The exporter must write the same bytes.
 """
 
 import json
+import sys
+from functools import lru_cache
 
 import numpy as np
 
+from triqss import qcore, registry
 from triqss.preparation import HbbPrep, PreparedState
 from triqss.protocol import EFFICIENCY_TOLERANCE, ERROR_THRESHOLD
 from triqss.qcore import ATOL, ZERO_PROB, RandomSource, StateVector
@@ -48,6 +54,36 @@ class FixedUniform(RandomSource):
 
     def random(self) -> float:
         return self.u
+
+
+def fresh_memos(monkeypatch, *namespaces: dict) -> None:
+    """Give every kernel memo a new, empty one until the test ends.
+
+    The bounded memos are shared by every test.  A test that pushes many
+    states through them would evict the entries made at import, such as the
+    GHZ collapse each ``HbbPrep.state`` is.  Each name a caller looks a memo
+    up by is patched: every ``triqss`` module's, and each of ``namespaces``,
+    such as a test module's ``globals()``.  Nothing shared is cleared.
+    """
+    memos = (
+        qcore._qubit_kernel,
+        qcore._pair_kernel,
+        registry._across_kernel,
+        qcore.apply_correction,
+    )
+    fresh = {
+        id(memo): lru_cache(maxsize=qcore._MEMO_SIZE)(memo.__wrapped__)
+        for memo in memos
+    }
+    package = [
+        vars(module)
+        for name, module in list(sys.modules.items())
+        if name.partition(".")[0] == "triqss"
+    ]
+    for namespace in (*package, *namespaces):
+        for name, value in list(namespace.items()):
+            if id(value) in fresh:
+                monkeypatch.setitem(namespace, name, fresh[id(value)])
 
 
 def qubit_state(alpha: complex, beta: complex, label: str = "Q") -> StateVector:

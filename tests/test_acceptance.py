@@ -32,7 +32,7 @@ from triqss.protocol import OrderingPolicy, RoundKind
 from triqss.qcore import Basis, ghz_state, measure_qubit, signal_state
 from triqss.stats import ratio
 
-from helpers import GeneratorSource, custom_state, project_qubit
+from helpers import GeneratorSource, custom_state, fresh_memos, project_qubit
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -280,9 +280,10 @@ def test_criterion_09_hbb_equivalence(honest_run):
     assert hbb.key_mismatches == 0
 
 
-def test_criterion_10_property_suites():
+def test_criterion_10_property_suites(monkeypatch):
     """10^4 randomized states keep norm/probability/collapse invariants, and
     the bundled bit-convention table equals its brute-force regeneration."""
+    fresh_memos(monkeypatch)
     rng = np.random.default_rng(97)
     label_sets = (("Q",), ("B", "C"), ("A", "B", "C"))
     bases = list(Basis)

@@ -12,6 +12,7 @@ from triqss.adversary import (
 )
 from triqss.channel import ChannelConfig, ConfigError
 from triqss.conventions import Scheme, convention_bit, correlated_bases
+from triqss.harness import PRESET_NAMES, preset_experiment
 from triqss.protocol import (
     Mode,
     OrderingPolicy,
@@ -343,3 +344,41 @@ class TestKeyRecovery:
         attacked = sum(r.attacked for r in transcript.rounds)
         assert attacked / 4000 == pytest.approx(0.3, abs=0.03)
         assert transcript.attack_fraction == 0.3
+
+
+class TestLostPhotons:
+    # Every decision the adversary makes about Bob's photon; key_declaration
+    # is its own class attribute, so it is wrapped on its own.
+    DECISIONS = (
+        "bob_measures_immediately",
+        "sifting_declaration",
+        "key_declaration",
+        "untouched_test_declaration",
+        "respond_test",
+    )
+
+    def test_no_decision_is_asked_about_a_lost_photon(self, monkeypatch):
+        # The round engine declares a lost photon lost on its own.  Every
+        # attack preset runs under every ordering and mode, at the preset
+        # channel (all rounds attacked) and at (0.45, 0.6), where half are not.
+        calls = dict.fromkeys(self.DECISIONS, 0)
+        for name in self.DECISIONS:
+            method = getattr(ActiveAdversary, name)
+
+            def spy(adversary, rec, *args, _name=name, _method=method, **kwargs):
+                assert rec.delivered_bob, _name
+                calls[_name] += 1
+                return _method(adversary, rec, *args, **kwargs)
+
+            monkeypatch.setattr(ActiveAdversary, name, spy)
+        for preset in PRESET_NAMES:
+            for eta in (0.3, 0.45):
+                for ordering in OrderingPolicy:
+                    for mode in Mode:
+                        config = preset_experiment(
+                            preset, eta=eta, eta_prime=0.6, rounds=300, seed=23,
+                            ordering=ordering, mode=mode,
+                        )
+                        if config.strategy is not None:
+                            run_session(config.session, config.strategy)
+        assert all(calls.values()), calls

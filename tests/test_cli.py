@@ -144,13 +144,15 @@ class TestRunCommand:
         ({"eta_prime": "0.6"}, "eta_prime"),
         ({"test_fraction": False}, "test_fraction"),
         ({"test_fraction": "0.25"}, "test_fraction"),
-        ({"ordering": "bogus"}, "'bogus' is not a valid OrderingPolicy"),
-        ({"mode": "bogus"}, "'bogus' is not a valid Mode"),
+        ({"ordering": "bogus"}, "ordering"),
+        ({"mode": "bogus"}, "mode"),
         ({"etta": 0.9}, "etta"),
         ({"format": "xml"}, "format"),
         ({"expect": "maybe"}, "expect"),
         ({"transcript": 1}, "transcript"),
         ({"out": 2}, "out"),
+        ({"ordering": 5}, "ordering"),
+        ({"mode": 5}, "mode"),
     ])
     def test_config_file_values_are_not_coerced(self, tmp_path, capsys, values, key):
         config_path = tmp_path / "run.json"

@@ -356,6 +356,34 @@ def test_only_the_round_engine_measures_an_agent_photon():
     assert callers == {"protocol.py"}
 
 
+def attribute_reads(source: str, name: str) -> list[int]:
+    """The line of each read of the attribute ``name``; assignments are not."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr == name
+        and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_the_attribute_scan_flags_only_reads():
+    source = (
+        "rec.delivered_bob = True\n"
+        "if not rec.delivered_bob:\n"
+        "    delivered_bob = rec.delivered_bob_later\n"
+        "rec.delivered_bob, x = False, rec.delivered_bob\n"
+    )
+    assert attribute_reads(source, "delivered_bob") == [2, 4]
+
+
+def test_only_the_round_engine_decides_a_lost_photon():
+    # The engine declares a photon that never reached Bob lost; the
+    # adversary's decisions are asked only about one that did.
+    source = (ROOT / "src" / "triqss" / "adversary.py").read_text(encoding="utf-8")
+    assert attribute_reads(source, "delivered_bob") == []
+
+
 # (module, class or None, function): where a configuration value is checked.
 CONFIG_BOUNDARIES = (
     ("channel.py", None, "_check_probability"),

@@ -45,7 +45,13 @@ from triqss.qcore import (
 )
 from triqss.registry import PhotonRegistry
 
-from helpers import TOP_UNIFORM, FixedUniform, apply_unitary, custom_state
+from helpers import (
+    TOP_UNIFORM,
+    FixedUniform,
+    apply_unitary,
+    custom_state,
+    fresh_memos,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -254,19 +260,19 @@ def test_every_entry_after_all_presets_equals_the_loop_kernels(monkeypatch):
     # Every distinct argument tuple, states compared by identity, is one
     # entry; the recorder keeps the states alive so their ids stay unique.
     # Equal counts of entries, misses and tuples show nothing was evicted.
+    fresh_memos(monkeypatch, globals())
     seen = {name: {} for _, name in MEMOS}
-    for module, name in MEMOS:
-        memo = getattr(module, name)
-        memo.cache_clear()
+    with monkeypatch.context() as recording:
+        for module, name in MEMOS:
+            memo = getattr(module, name)
 
-        def recorder(*args, _memo=memo, _calls=seen[name]):
-            _calls.setdefault(identity_key(args), args)
-            return _memo(*args)
+            def recorder(*args, _memo=memo, _calls=seen[name]):
+                _calls.setdefault(identity_key(args), args)
+                return _memo(*args)
 
-        monkeypatch.setattr(module, name, recorder)
-    for preset in PRESET_NAMES:
-        run_experiment(preset_experiment(preset, rounds=2000, seed=11))
-    monkeypatch.undo()
+            recording.setattr(module, name, recorder)
+        for preset in PRESET_NAMES:
+            run_experiment(preset_experiment(preset, rounds=2000, seed=11))
 
     for module, name in MEMOS:
         info = getattr(module, name).cache_info()
@@ -324,7 +330,8 @@ def random_amplitudes(rng, labels, draw):
 
 
 @pytest.mark.parametrize("labels", LABEL_SETS, ids=["1q", "2q", "3q"])
-def test_random_states_equal_the_loop_kernels(labels):
+def test_random_states_equal_the_loop_kernels(monkeypatch, labels):
+    fresh_memos(monkeypatch, globals())
     rng = np.random.default_rng(2024 + len(labels))
     for draw in range(9):
         state = custom_state(labels, random_amplitudes(rng, labels, draw))
@@ -338,7 +345,8 @@ def test_random_states_equal_the_loop_kernels(labels):
                 check_pair(state, pair, basis)
 
 
-def test_random_factor_pairs_equal_the_loop_kernel():
+def test_random_factor_pairs_equal_the_loop_kernel(monkeypatch):
+    fresh_memos(monkeypatch, globals())
     rng = np.random.default_rng(77)
     splits = ((("A",), ("B",)), (("A", "X"), ("B",)), (("A",), ("Y", "B")))
     for labels1, labels2 in splits:
