@@ -17,7 +17,7 @@ import numpy as np
 
 from triqss.harness import preset_experiment, run_experiment
 from triqss.preparation import hbb_reduce
-from triqss.qcore import Basis, RandomSource, ghz_state
+from triqss.qcore import Basis, RandomSource
 
 
 class GeneratorSource(RandomSource):
@@ -41,8 +41,8 @@ def main() -> None:
     for basis in (Basis.X, Basis.Y):
         seen = {}
         while len(seen) < 2:
-            outcome, post = hbb_reduce(ghz_state(), basis, rng)
-            seen[outcome] = post
+            prep = hbb_reduce(basis, rng)
+            seen[prep.dealer_outcome] = prep.state
         for outcome in (+1, -1):
             amps = ", ".join(
                 f"{a.real:+.4f}{a.imag:+.4f}j" for a in seen[outcome].amplitudes

@@ -18,6 +18,7 @@ reports such a point as a row, finishes the other points, then exits 3.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -48,20 +49,44 @@ EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
 EXIT_NO_TEST_DATA = 3
 
+# The CLI's own defaults; every other default is the library function's.
+_DEFAULT_PRESET = "honest"
+_DEFAULT_FORMAT = "csv"
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE",
                         help="JSON file with defaults; explicit flags override it")
     parser.add_argument("--eta", type=float, default=None,
-                        help="honest per-leg channel efficiency (default 0.3)")
+                        help="honest per-leg channel efficiency")
     parser.add_argument("--rounds", type=int, default=None,
-                        help="rounds per session (default 20000)")
+                        help="rounds per session")
     parser.add_argument("--seed", type=int, default=None,
-                        help="base random seed (default 0)")
+                        help="base random seed")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="write the report table to this path")
     parser.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="report file format (default csv)")
+                        help="report file format")
+
+
+def _show_defaults(parser: argparse.ArgumentParser, function, **own) -> None:
+    """Append ``(default V)`` to the help of each option with a default.
+
+    V is the default of ``function``'s parameter of the same name, or the
+    CLI's own default given in ``own``; ``eta_primes`` is ``eta_prime_values``.
+    """
+    defaults = {
+        "eta_primes" if name == "eta_prime_values" else name: param.default
+        for name, param in inspect.signature(function).parameters.items()
+        if param.default not in (None, param.empty)
+    }
+    defaults.update(own)
+    for action in parser._actions:
+        if action.dest in defaults:
+            value = defaults[action.dest]
+            if isinstance(value, tuple):
+                value = ",".join(map(str, value))
+            action.help = f"{action.help} (default {value})"
 
 
 def _given(args: argparse.Namespace, *keys: str) -> dict:
@@ -69,7 +94,8 @@ def _given(args: argparse.Namespace, *keys: str) -> dict:
 
     Keys set by neither are left out, so the library's own defaults apply.
     """
-    given = {key: args._config_data[key] for key in keys if key in args._config_data}
+    config = getattr(args, "_config_data", {})  # selftest reads no config file
+    given = {key: config[key] for key in keys if key in config}
     for key in keys:
         if getattr(args, key, None) is not None:
             given[key] = getattr(args, key)
@@ -118,22 +144,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment preset")
     p_run.add_argument("--preset", choices=PRESET_NAMES, default=None,
-                       help="experiment preset (default honest)")
+                       help="experiment preset")
     p_run.add_argument("--ordering", choices=sorted(p.value for p in OrderingPolicy),
                        default=None, help="announcement ordering override")
     p_run.add_argument("--mode", choices=sorted(m.value for m in Mode), default=None,
                        help="round usage mode override")
     p_run.add_argument("--repetitions", type=int, default=None,
-                       help="sessions to pool (default 1)")
+                       help="sessions to pool")
     p_run.add_argument("--test-fraction", type=float, default=None,
-                       help="fraction of rounds designated as test (default 0.25)")
+                       help="fraction of rounds designated as test")
     p_run.add_argument("--transcript", metavar="FILE", default=None,
                        help="write the first session transcript as JSONL")
     p_run.add_argument("--expect", choices=("secure", "compromised"), default=None,
                        help="exit with status 1 unless the verdict matches")
     p_run.add_argument("--eta-prime", type=float, default=None,
-                       help="adversary replacement-channel efficiency (default 0.6)")
+                       help="adversary replacement-channel efficiency")
     _add_common(p_run)
+    _show_defaults(p_run, preset_experiment, preset=_DEFAULT_PRESET,
+                    format=_DEFAULT_FORMAT)
     p_run.set_defaults(_parser=p_run)
 
     # No abbreviations: "--eta-prime" would be read as "--eta-prime-list".
@@ -142,11 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--eta-prime-list", "--eta-primes", dest="eta_primes",
                          default=None,
-                         help="comma-separated replacement efficiencies "
-                         "(default 0.25,0.3,0.35,0.4,0.45,0.5)")
+                         help="comma-separated replacement efficiencies")
     p_sweep.add_argument("--repetitions", type=int, default=None,
-                         help="sessions to pool per grid point (default 1)")
+                         help="sessions to pool per grid point")
     _add_common(p_sweep)
+    _show_defaults(p_sweep, sweep_pe, format=_DEFAULT_FORMAT)
     p_sweep.set_defaults(_parser=p_sweep)
 
     p_table = sub.add_parser(
@@ -156,10 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print failures only")
 
     p_self = sub.add_parser("selftest", help="fast end-to-end sanity checks")
-    p_self.add_argument("--rounds", type=int, default=3000,
-                        help="rounds per selftest session (default 3000)")
-    p_self.add_argument("--seed", type=int, default=0,
-                        help="selftest seed (default 0)")
+    p_self.add_argument("--rounds", type=int, default=None,
+                        help="rounds per selftest session")
+    p_self.add_argument("--seed", type=int, default=None, help="selftest seed")
+    _show_defaults(p_self, selftest)
 
     return parser
 
@@ -217,7 +245,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     ordering = _merge(args, "ordering", None)
     mode = _merge(args, "mode", None)
     config = preset_experiment(
-        _merge(args, "preset", "honest"),
+        _merge(args, "preset", _DEFAULT_PRESET),
         **_given(args, "eta", "eta_prime", "rounds", "seed", "repetitions",
                  "test_fraction"),
         ordering=OrderingPolicy(ordering) if ordering else None,
@@ -228,7 +256,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _print_run_summary(report)
     out = _merge(args, "out", None)
     if out:
-        fmt = _merge(args, "format", "csv")
+        fmt = _merge(args, "format", _DEFAULT_FORMAT)
         writer = write_report_csv if fmt == "csv" else write_report_json
         writer([report], out)
         print(f"report written to {out}")
@@ -277,7 +305,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     out = _merge(args, "out", None)
     if out:
-        fmt = _merge(args, "format", "csv")
+        fmt = _merge(args, "format", _DEFAULT_FORMAT)
         writer = write_sweep_csv if fmt == "csv" else write_sweep_json
         writer(rows, out)
         print(f"sweep written to {out}")
@@ -319,7 +347,7 @@ def _cmd_verify_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    ok, lines = selftest(rounds=args.rounds, seed=args.seed)
+    ok, lines = selftest(**_given(args, "rounds", "seed"))
     for line in lines:
         print(line)
     print(f"selftest: {'pass' if ok else 'fail'}")

@@ -766,7 +766,7 @@ def selftest(rounds: int = 3000, seed: int = 0) -> tuple[bool, list[str]]:
     )
 
     def session(preset: str, **params) -> SessionReport:
-        config = preset_experiment(preset, eta=0.3, rounds=rounds, seed=seed, **params)
+        config = preset_experiment(preset, rounds=rounds, seed=seed, **params)
         try:
             return run_experiment(config, keep_transcripts=True)
         except NoTestDataError as exc:
@@ -780,7 +780,7 @@ def selftest(rounds: int = 3000, seed: int = 0) -> tuple[bool, list[str]]:
         and honest.key_mismatches == 0,
         f"honest session: secure, zero errors, {honest.key_bits} key bits",
     )
-    attacked = session("opaque-vulnerable", eta_prime=0.6)
+    attacked = session("opaque-vulnerable")
     validate_announcement_order(attacked.transcripts[0])
     note(
         attacked.check.verdict == "secure"
@@ -788,7 +788,7 @@ def selftest(rounds: int = 3000, seed: int = 0) -> tuple[bool, list[str]]:
         and attacked.kc_accuracy == 1.0,
         "deferred attack, vulnerable ordering: undetected with perfect recovery",
     )
-    sifting = session("opaque-sifting-classical", eta_prime=0.6)
+    sifting = session("opaque-sifting-classical")
     note(
         sifting.check.verdict == "compromised",
         f"deferred attack, sifting-first: detected "

@@ -5,7 +5,8 @@ Three kinds of round leave the dealer's lab:
 * entangled-pair rounds: one of the four signal states (``kki``), used for
   every round of the plain scheme and the key rounds of the hardened one;
 * GHZ rounds (``hbb``): the dealer keeps one photon and measures it in X or
-  Y, which steers the agents' pair into one of four states;
+  Y, which steers the agents' pair into one of four states; ``hbb_reduce``
+  samples that measurement and returns the matching interned ``HbbPrep``;
 * hardened test rounds: two independent single-photon states, one per leg,
   drawn like check states in prepare-and-measure key distribution.
 
@@ -112,22 +113,18 @@ _HARDENED_BY_DRAW = {
 }
 
 
-def hbb_reduce(
-    state: StateVector, alice_basis: Basis, rng: RandomSource
-) -> tuple[int, StateVector]:
-    """Measure the dealer's GHZ photon ``A``, collapsing the agents' pair.
+def hbb_reduce(dealer_basis: Basis, rng: RandomSource) -> HbbPrep:
+    """Measure the dealer's photon ``A`` of the GHZ state; return the round.
 
-    Returns ``(outcome, two-qubit post state)``: on the GHZ state, the memo
-    branch ``HbbPrep`` carries as its ``state``.  The dealer only ever uses
-    X or Y here; Z is rejected because it would collapse the agents into a
+    The returned interned preparation's ``state`` is the agents' collapsed
+    pair, the post-state of the branch sampled here.  The dealer only ever
+    uses X or Y; Z is rejected because it would collapse the agents into a
     product state and leak nothing shareable.
     """
-    if alice_basis not in (Basis.X, Basis.Y):
-        raise ValueError(f"dealer basis must be X or Y, got {alice_basis}")
-    result = measure_qubit(state, "A", alice_basis, rng)
-    if result.post_state is None:
-        raise ValueError("state has no photons left after the dealer's measurement")
-    return result.outcome, result.post_state
+    if dealer_basis not in (Basis.X, Basis.Y):
+        raise ValueError(f"dealer basis must be X or Y, got {dealer_basis}")
+    outcome = measure_qubit(ghz_state(("A", "B", "C")), "A", dealer_basis, rng).outcome
+    return HbbPrep.from_measurement(dealer_basis, outcome)
 
 
 def prepare_hardened_test_round(

@@ -63,7 +63,6 @@ from .qcore import (
     BellOutcome,
     RandomSource,
     SIGNAL_ORDER,
-    ghz_state,
     overlap,
 )
 from .registry import PhotonRegistry
@@ -333,9 +332,7 @@ def _prepare_round(
     config: SessionConfig, test_coin: bool, registry: PhotonRegistry, rng
 ) -> Preparation:
     if config.scheme is Scheme.HBB:
-        dealer_basis = Basis.X if rng.coin(0.5) else Basis.Y
-        outcome, _ = hbb_reduce(ghz_state(("A", "B", "C")), dealer_basis, rng)
-        prep = HbbPrep.from_measurement(dealer_basis, outcome)
+        prep = hbb_reduce(Basis.X if rng.coin(0.5) else Basis.Y, rng)
     elif config.scheme is Scheme.HARDENED_KKI and test_coin:
         prep, photon_b, photon_c = prepare_hardened_test_round(rng)
         registry.add(photon_b)

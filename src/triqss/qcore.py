@@ -17,14 +17,17 @@ is the fourth memo), each on its own arguments, the ``StateVector`` object
 among them.  A state is immutable and hashes by identity, so an entry can
 never go stale, and the memo holds the state alive, so its identity is never
 reused.  Equal states are in practice the same object: every state a round
-measures starts as a cached constructor's result (``signal_state``,
-``bell_state``, ``ghz_state``, ``basis_ket``) and moves on only through
-memoized results, whose post-states are shared in turn.  A state built some
-other way is merely a miss.  Every outcome's Born probability and post-state
-is computed from the amplitudes once per distinct input; results are then
-shared between calls and are immutable (frozen dataclasses over read-only
-arrays).  Sampling still draws the same uniforms in the same order, so a
-seed's trajectory does not depend on what the memo already holds.
+measures starts as the result of its named state's one cached constructor
+(``signal_state``, ``bell_state``, ``ghz_state``, ``basis_ket``, each keyed
+on required label tuples) and moves on only through memoized results, whose
+post-states are shared in turn.  A state built some other way is merely a
+miss.  Every ``StateVector``, a post-state too, comes from the one checked
+constructor and passes its shape and norm checks when it is made.  Every
+outcome's Born probability and post-state is computed from the amplitudes
+once per distinct input; results are then shared between calls and are
+immutable (frozen dataclasses over read-only arrays).  Sampling still draws
+the same uniforms in the same order, so a seed's trajectory does not depend
+on what the memo already holds.
 
 The enums that key those memos and the lookup tables (``Basis``,
 ``PairBasis``, ``SignalTag``, ``BellOutcome``, ``PauliCorrection``) hash by
@@ -60,6 +63,13 @@ ATOL = 1e-9
 ZERO_PROB = 1e-12
 
 _SQ2 = 1.0 / np.sqrt(2.0)
+
+
+def _const(values) -> np.ndarray:
+    """A read-only complex array of ``values``."""
+    array = np.array(values, dtype=complex)
+    array.setflags(write=False)
+    return array
 
 
 class RandomSource:
@@ -110,22 +120,10 @@ class Basis(Enum):
 
 
 _BASIS_VECTORS: dict[Basis, tuple[np.ndarray, np.ndarray]] = {
-    Basis.Z: (
-        np.array([1.0, 0.0], dtype=complex),
-        np.array([0.0, 1.0], dtype=complex),
-    ),
-    Basis.X: (
-        np.array([_SQ2, _SQ2], dtype=complex),
-        np.array([_SQ2, -_SQ2], dtype=complex),
-    ),
-    Basis.Y: (
-        np.array([_SQ2, _SQ2 * 1j], dtype=complex),
-        np.array([_SQ2, -_SQ2 * 1j], dtype=complex),
-    ),
+    Basis.Z: (_const([1.0, 0.0]), _const([0.0, 1.0])),
+    Basis.X: (_const([_SQ2, _SQ2]), _const([_SQ2, -_SQ2])),
+    Basis.Y: (_const([_SQ2, _SQ2 * 1j]), _const([_SQ2, -_SQ2 * 1j])),
 }
-for _b, (_p, _m) in _BASIS_VECTORS.items():
-    _p.setflags(write=False)
-    _m.setflags(write=False)
 
 
 class PauliCorrection(Enum):
@@ -144,11 +142,9 @@ class PauliCorrection(Enum):
 
 
 _PAULI_MATRICES: dict[PauliCorrection, np.ndarray] = {
-    PauliCorrection.IDENTITY: np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
-    PauliCorrection.I_SIGMA_Y: np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex),
+    PauliCorrection.IDENTITY: _const([[1.0, 0.0], [0.0, 1.0]]),
+    PauliCorrection.I_SIGMA_Y: _const([[0.0, 1.0], [-1.0, 0.0]]),
 }
-for _mat in _PAULI_MATRICES.values():
-    _mat.setflags(write=False)
 
 
 class BellOutcome(Enum):
@@ -175,13 +171,11 @@ BELL_ORDER: tuple[BellOutcome, ...] = (
 )
 
 _BELL_VECTORS_BY_OUTCOME: dict[BellOutcome, np.ndarray] = {
-    BellOutcome.PHI_PLUS: np.array([_SQ2, 0.0, 0.0, _SQ2], dtype=complex),
-    BellOutcome.PHI_MINUS: np.array([_SQ2, 0.0, 0.0, -_SQ2], dtype=complex),
-    BellOutcome.PSI_PLUS: np.array([0.0, _SQ2, _SQ2, 0.0], dtype=complex),
-    BellOutcome.PSI_MINUS: np.array([0.0, _SQ2, -_SQ2, 0.0], dtype=complex),
+    BellOutcome.PHI_PLUS: _const([_SQ2, 0.0, 0.0, _SQ2]),
+    BellOutcome.PHI_MINUS: _const([_SQ2, 0.0, 0.0, -_SQ2]),
+    BellOutcome.PSI_PLUS: _const([0.0, _SQ2, _SQ2, 0.0]),
+    BellOutcome.PSI_MINUS: _const([0.0, _SQ2, -_SQ2, 0.0]),
 }
-for _vec in _BELL_VECTORS_BY_OUTCOME.values():
-    _vec.setflags(write=False)
 
 
 class SignalTag(Enum):
@@ -210,18 +204,15 @@ SIGNAL_ORDER: tuple[SignalTag, ...] = (
 )
 
 _SIGNAL_AMPLITUDES: dict[SignalTag, np.ndarray] = {
-    SignalTag.PSI_PLUS: np.array([0.0, _SQ2, _SQ2, 0.0], dtype=complex),
-    SignalTag.PHI_MINUS: np.array([_SQ2, 0.0, 0.0, -_SQ2], dtype=complex),
-    SignalTag.PSI_PLUS_ROT: np.array([0.5, 0.5, 0.5, -0.5], dtype=complex),
-    SignalTag.PHI_MINUS_ROT: np.array([0.5, -0.5, -0.5, -0.5], dtype=complex),
+    SignalTag.PSI_PLUS: _const([0.0, _SQ2, _SQ2, 0.0]),
+    SignalTag.PHI_MINUS: _const([_SQ2, 0.0, 0.0, -_SQ2]),
+    SignalTag.PSI_PLUS_ROT: _const([0.5, 0.5, 0.5, -0.5]),
+    SignalTag.PHI_MINUS_ROT: _const([0.5, -0.5, -0.5, -0.5]),
 }
-for _vec in _SIGNAL_AMPLITUDES.values():
-    _vec.setflags(write=False)
 
 # Rotation taking the second photon of a plain signal pair to its rotated
 # twin: |0> -> |-x>, |1> -> |+x|.  Columns are the images of |0> and |1>.
-ROTATION_SECOND_PHOTON = np.array([[_SQ2, _SQ2], [-_SQ2, _SQ2]], dtype=complex)
-ROTATION_SECOND_PHOTON.setflags(write=False)
+ROTATION_SECOND_PHOTON = _const([[_SQ2, _SQ2], [-_SQ2, _SQ2]])
 
 
 class PairBasis(Enum):
@@ -244,16 +235,14 @@ class PairBasis(Enum):
 
 
 _PAIR_BASIS_VECTORS: dict[PairBasis, np.ndarray] = {
-    PairBasis.BELL: np.stack([outcome.vector for outcome in BELL_ORDER]),
-    PairBasis.ROTATED_BELL: np.stack(
+    PairBasis.BELL: _const([outcome.vector for outcome in BELL_ORDER]),
+    PairBasis.ROTATED_BELL: _const(
         [
             (outcome.vector.reshape(2, 2) @ ROTATION_SECOND_PHOTON.T).reshape(-1)
             for outcome in BELL_ORDER
         ]
     ),
 }
-for _vecs in _PAIR_BASIS_VECTORS.values():
-    _vecs.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,7 +269,7 @@ class StateVector:
             raise ValueError(f"StateVector supports 1..3 qubits, got {n}")
         if len(set(labels)) != n:
             raise ValueError(f"duplicate qubit labels: {labels!r}")
-        amps = np.array(self.amplitudes, dtype=complex)
+        amps = _const(self.amplitudes)
         if amps.shape != (2**n,):
             raise ValueError(
                 f"amplitude vector must have shape ({2 ** n},) for labels "
@@ -289,20 +278,7 @@ class StateVector:
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > ATOL:
             raise ValueError(f"state vector norm {norm} differs from 1")
-        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def _trusted(cls, labels: tuple[str, ...], amplitudes: np.ndarray) -> "StateVector":
-        """Internal fast path for states already known to be valid.
-
-        ``amplitudes`` must be a fresh, normalized, flat complex array.
-        """
-        amplitudes.setflags(write=False)
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "labels", labels)
-        object.__setattr__(obj, "amplitudes", amplitudes)
-        return obj
 
     @property
     def num_qubits(self) -> int:
@@ -345,50 +321,30 @@ class Measurement:
     post_state: StateVector | None
 
 
-def basis_ket(basis: Basis, outcome: int, label: str = "Q") -> StateVector:
+@lru_cache(maxsize=None)
+def basis_ket(basis: Basis, outcome: int, label: str) -> StateVector:
     """Eigenstate of ``basis`` with eigenvalue ``outcome`` (+1 or -1)."""
     if outcome not in (+1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    return _cached_basis_ket(basis, outcome, label)
+    return StateVector((label,), basis.eigenvectors[0 if outcome == +1 else 1])
 
 
 @lru_cache(maxsize=None)
-def _cached_basis_ket(basis: Basis, outcome: int, label: str) -> StateVector:
-    vec = basis.eigenvectors[0 if outcome == +1 else 1]
-    return StateVector((label,), vec)
-
-
 def bell_state(kind: BellOutcome, labels: tuple[str, str]) -> StateVector:
     """One of the four Bell pairs over the two given labels."""
-    return _cached_bell_state(kind, tuple(labels))
-
-
-@lru_cache(maxsize=None)
-def _cached_bell_state(kind: BellOutcome, labels: tuple[str, str]) -> StateVector:
     return StateVector(labels, kind.vector)
 
 
-def signal_state(tag: SignalTag, labels: tuple[str, str] = ("B", "C")) -> StateVector:
-    """One of the four signal pairs; the second label is the rotated photon."""
-    return _cached_signal_state(tag, tuple(labels))
-
-
 @lru_cache(maxsize=None)
-def _cached_signal_state(tag: SignalTag, labels: tuple[str, str]) -> StateVector:
+def signal_state(tag: SignalTag, labels: tuple[str, str]) -> StateVector:
+    """One of the four signal pairs; the second label is the rotated photon."""
     return StateVector(labels, _SIGNAL_AMPLITUDES[tag])
 
 
-def ghz_state(labels: tuple[str, str, str] = ("A", "B", "C")) -> StateVector:
-    """Three-qubit GHZ state ``(|000> + |111>)/sqrt(2)``."""
-    return _cached_ghz_state(tuple(labels))
-
-
 @lru_cache(maxsize=None)
-def _cached_ghz_state(labels: tuple[str, str, str]) -> StateVector:
-    amps = np.zeros(8, dtype=complex)
-    amps[0] = _SQ2
-    amps[7] = _SQ2
-    return StateVector(labels, amps)
+def ghz_state(labels: tuple[str, str, str]) -> StateVector:
+    """Three-qubit GHZ state ``(|000> + |111>)/sqrt(2)``."""
+    return StateVector(labels, [_SQ2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, _SQ2])
 
 
 def overlap(a: StateVector, b: StateVector) -> float:
@@ -509,7 +465,7 @@ def _branches_from_residuals(residuals, outcomes, rest: tuple[str, ...]) -> _Bra
         prob = _clamp_probability(float(np.vdot(residual, residual).real))
         acc += prob
         post = (
-            StateVector._trusted(rest, (residual / np.sqrt(prob)).reshape(-1))
+            StateVector(rest, (residual / np.sqrt(prob)).reshape(-1))
             if rest and prob > 0.0
             else None
         )

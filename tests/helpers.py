@@ -15,6 +15,9 @@ The library draws from a ``RandomSource``; ``GeneratorSource`` puts a numpy
 ``fresh_memos`` gives a test that pushes many states through the measurement
 kernels memos of its own, so the shared ones keep their import-time entries.
 
+``unchecked_state`` builds a state the library's constructor refuses, such as
+one whose norm is not 1, to probe the checks further down the draw path.
+
 ``reference_jsonl`` is the transcript encoder the exporter started as: one
 sorted-key dict per line, encoded in full, with no template shared between
 rounds.  The exporter must write the same bytes.
@@ -89,6 +92,20 @@ def fresh_memos(monkeypatch, *namespaces: dict) -> None:
 def qubit_state(alpha: complex, beta: complex, label: str = "Q") -> StateVector:
     """Single-qubit state ``alpha|0> + beta|1>`` (must be normalized)."""
     return StateVector((label,), np.array([alpha, beta], dtype=complex))
+
+
+def unchecked_state(labels: tuple[str, ...], amplitudes) -> StateVector:
+    """A ``StateVector`` over ``amplitudes`` as given, past every check.
+
+    The amplitudes are copied into a read-only complex array; neither their
+    shape nor their norm is checked.
+    """
+    amps = np.array(amplitudes, dtype=complex)
+    amps.setflags(write=False)
+    state = object.__new__(StateVector)
+    object.__setattr__(state, "labels", tuple(labels))
+    object.__setattr__(state, "amplitudes", amps)
+    return state
 
 
 def custom_state(labels: tuple[str, ...], amplitudes) -> StateVector:

@@ -29,7 +29,7 @@ from triqss.harness import (
 )
 from triqss.preparation import hbb_reduce
 from triqss.protocol import OrderingPolicy, RoundKind
-from triqss.qcore import Basis, ghz_state, measure_qubit, signal_state
+from triqss.qcore import Basis, measure_qubit, signal_state
 from triqss.stats import ratio
 
 from helpers import GeneratorSource, custom_state, fresh_memos, project_qubit
@@ -140,7 +140,7 @@ def swapped_round_error_probability(rec):
     """Brute-force error probability of one uncorrected swapped test round."""
     prep = rec.preparation
     twist = np.kron(np.eye(2), PAULI_OF_BELL[rec.bell_outcome.value])
-    state = twist @ signal_state(prep.tag).amplitudes
+    state = twist @ signal_state(prep.tag, ("B", "C")).amplitudes
     p_err = 0.0
     for ob, ket_b in zip((+1, -1), rec.bob_basis.eigenvectors):
         for oc, ket_c in zip((+1, -1), rec.charlie_basis.eigenvectors):
@@ -263,11 +263,11 @@ def test_criterion_09_hbb_equivalence(honest_run):
     seen = set()
     for basis in (Basis.X, Basis.Y):
         for _ in range(40):
-            outcome, post = hbb_reduce(ghz_state(("A", "B", "C")), basis, rng)
-            expected = GHZ_REDUCED[(basis, outcome)]
-            fidelity = abs(np.vdot(expected, post.amplitudes)) ** 2
+            prep = hbb_reduce(basis, rng)
+            expected = GHZ_REDUCED[(basis, prep.dealer_outcome)]
+            fidelity = abs(np.vdot(expected, prep.state.amplitudes)) ** 2
             assert fidelity >= 1.0 - 1e-9
-            seen.add((basis, outcome))
+            seen.add((basis, prep.dealer_outcome))
     assert len(seen) == 4
     hbb = run_experiment(
         preset_experiment("hbb", eta=1.0, eta_prime=1.0, rounds=100_000, seed=0)

@@ -115,7 +115,7 @@ def bad_branch_error_probability(rec):
     """
     prep = rec.preparation
     twist = np.kron(np.eye(2), PAULI_OF_BELL[rec.bell_outcome])
-    state = twist @ signal_state(prep.tag).amplitudes
+    state = twist @ signal_state(prep.tag, ("B", "C")).amplitudes
     p_err = 0.0
     for ob, ket_b in zip((+1, -1), rec.bob_basis.eigenvectors):
         for oc, ket_c in zip((+1, -1), rec.charlie_basis.eigenvectors):

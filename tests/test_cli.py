@@ -1,11 +1,23 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import argparse
+import ast
 import csv
+import inspect
 import json
+import re
 
 import pytest
 
-from triqss.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_NO_TEST_DATA, EXIT_OK, main
+from triqss.cli import (
+    EXIT_ASSERTION,
+    EXIT_CONFIG,
+    EXIT_NO_TEST_DATA,
+    EXIT_OK,
+    build_parser,
+    main,
+)
+from triqss.harness import preset_experiment, selftest, sweep_pe
 
 
 def run_cli(capsys, *argv):
@@ -282,3 +294,33 @@ class TestSelftestCommand:
         code, _, err = run_cli(capsys, "selftest", "--rounds", "5")
         assert code == EXIT_NO_TEST_DATA
         assert "selftest session 'honest': no usable test rounds" in err
+
+
+class TestHelp:
+    # The library function each subcommand calls, and the CLI's own defaults.
+    LIBRARY = {"run": preset_experiment, "sweep": sweep_pe, "selftest": selftest}
+    CLI_DEFAULTS = {"preset": "honest", "format": "csv"}
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "selftest"])
+    def test_each_stated_default_is_the_library_default(self, command):
+        parser = build_parser()
+        sub = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        params = inspect.signature(self.LIBRARY[command]).parameters
+        stated = {}
+        for action in sub.choices[command]._actions:
+            name = "eta_prime_values" if action.dest == "eta_primes" else action.dest
+            match = re.search(r"\(default (.+)\)$", action.help or "")
+            if match:
+                stated[name] = match.group(1)
+            elif name in params:
+                assert params[name].default is None, f"{name}: default not stated"
+        assert stated
+        for name, text in stated.items():
+            if name in self.CLI_DEFAULTS:
+                assert text == self.CLI_DEFAULTS[name]
+                continue
+            default = params[name].default
+            values = tuple(ast.literal_eval(value) for value in text.split(","))
+            assert values == (default if isinstance(default, tuple) else (default,))

@@ -22,6 +22,9 @@ An agent's photon is measured only by the round engine: the package calls
 ``measure_random_basis`` from ``protocol.py`` alone, so an adversary decides
 what Bob declares but never measures for him.
 
+No package object is made with ``object.__new__``, the back door past a
+class's constructor: every ``StateVector`` passes its shape and norm checks.
+
 Every ``raise`` in a configuration boundary (a config's ``__post_init__``,
 the probability check, the adversary's channel rule, the session's strategy
 check and the preset lookup) raises ``ConfigError``, which names the field.
@@ -382,6 +385,39 @@ def test_only_the_round_engine_decides_a_lost_photon():
     # adversary's decisions are asked only about one that did.
     source = (ROOT / "src" / "triqss" / "adversary.py").read_text(encoding="utf-8")
     assert attribute_reads(source, "delivered_bob") == []
+
+
+def back_door_calls(source: str) -> list[int]:
+    """The line of each ``object.__new__`` call."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__"
+        and getattr(node.func.value, "id", None) == "object"
+    )
+
+
+def test_the_back_door_scan_flags_only_object_new_calls():
+    source = (
+        "obj = object.__new__(cls)\n"
+        "object.__setattr__(obj, 'labels', labels)\n"
+        "inst = super().__new__(cls)\n"
+        "make = object.__new__\n"
+        "other = cls.__new__(cls)\n"
+        "state = make(StateVector) or object.__new__(StateVector)\n"
+    )
+    assert back_door_calls(source) == [1, 6]
+
+
+def test_no_package_object_skips_its_constructor():
+    offenders = {
+        path.name: lines
+        for path in PACKAGE
+        if (lines := back_door_calls(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
 
 
 # (module, class or None, function): where a configuration value is checked.

@@ -51,6 +51,7 @@ from helpers import (
     apply_unitary,
     custom_state,
     fresh_memos,
+    unchecked_state,
 )
 
 
@@ -78,7 +79,7 @@ def reference_measure_qubit(state, label, basis, rng):
             outcome, prob, residual = -1, p_minus, r_minus
     rest = tuple(l for l in state.labels if l != label)
     post = (
-        StateVector._trusted(rest, (residual / np.sqrt(prob)).reshape(-1))
+        StateVector(rest, (residual / np.sqrt(prob)).reshape(-1))
         if rest and prob > 0.0
         else None
     )
@@ -104,7 +105,7 @@ def reference_measure_two_qubit_basis(state, pair, basis, rng):
     index, prob, residual = chosen or last
     rest = tuple(l for l in state.labels if l not in pair)
     post = (
-        StateVector._trusted(rest, (residual / np.sqrt(prob)).reshape(-1))
+        StateVector(rest, (residual / np.sqrt(prob)).reshape(-1))
         if rest and prob > 0.0
         else None
     )
@@ -142,7 +143,7 @@ def reference_measure_pair_across(f1, f2, pair, basis, rng):
     return Measurement(
         BELL_ORDER[index],
         prob,
-        StateVector._trusted(rest, (residual / np.sqrt(prob)).reshape(-1)),
+        StateVector(rest, (residual / np.sqrt(prob)).reshape(-1)),
     )
 
 
@@ -360,7 +361,7 @@ def test_random_factor_pairs_equal_the_loop_kernel(monkeypatch):
 
 
 def test_unnormalized_state_still_raises_on_the_draw_path():
-    half = StateVector._trusted(("A", "B"), np.full(4, 0.25 + 0j))
+    half = unchecked_state(("A", "B"), np.full(4, 0.25))
     assert measure_qubit(half, "A", Basis.Z, FixedUniform(0.1)).outcome == +1
     with pytest.raises(AssertionError, match="not normalized"):
         measure_qubit(half, "A", Basis.Z, FixedUniform(0.9))

@@ -14,7 +14,6 @@ from triqss.qcore import (
     Basis,
     SignalTag,
     basis_ket,
-    ghz_state,
     overlap,
     signal_state,
 )
@@ -81,45 +80,38 @@ class TestHbbReduce:
     def test_collapse_matches_projector_oracle(self, basis):
         rng = GeneratorSource(np.random.default_rng(13))
         for _ in range(40):
-            outcome, post = hbb_reduce(ghz_state(("A", "B", "C")), basis, rng)
-            assert outcome in (+1, -1)
-            assert post.labels == ("B", "C")
-            expected = REDUCED_BY_DEALER[(basis, outcome)]
-            assert abs(np.vdot(expected, post.amplitudes)) ** 2 == pytest.approx(
+            prep = hbb_reduce(basis, rng)
+            assert prep.dealer_basis is basis
+            assert prep.dealer_outcome in (+1, -1)
+            assert prep.state.labels == ("B", "C")
+            expected = REDUCED_BY_DEALER[(basis, prep.dealer_outcome)]
+            assert abs(np.vdot(expected, prep.state.amplitudes)) ** 2 == pytest.approx(
                 1.0, abs=1e-9
             )
 
     @pytest.mark.parametrize("basis", [Basis.X, Basis.Y])
     @pytest.mark.parametrize("outcome", [+1, -1])
     def test_post_state_is_the_preparation_state(self, basis, outcome):
+        # hbb_reduce returns the interned preparation of the sampled branch.
         # One memo entry is the GHZ collapse's only home: a preparation built
-        # now reads it, the interned one read it at import, and hbb_reduce
-        # samples it.  Tests that push many states through the bounded memo
-        # use memos of their own, so the entry is never evicted.
+        # now reads it, the interned one read it at import.  Tests that push
+        # many states through the bounded memo use memos of their own, so the
+        # entry is never evicted.
         rng = FixedUniform(0.25 if outcome == +1 else 0.75)
-        got, post = hbb_reduce(ghz_state(("A", "B", "C")), basis, rng)
-        assert got == outcome
-        assert post is HbbPrep(basis, outcome).state
-        assert post is HbbPrep.from_measurement(basis, outcome).state
+        prep = hbb_reduce(basis, rng)
+        assert prep is HbbPrep.from_measurement(basis, outcome)
+        assert prep.state is HbbPrep(basis, outcome).state
 
     def test_outcomes_are_balanced(self):
         rng = GeneratorSource(np.random.default_rng(19))
         n = 2000
-        plus = sum(
-            hbb_reduce(ghz_state(("A", "B", "C")), Basis.X, rng)[0] == +1
-            for _ in range(n)
-        )
+        plus = sum(hbb_reduce(Basis.X, rng).dealer_outcome == +1 for _ in range(n))
         assert plus / n == pytest.approx(0.5, abs=0.03)
 
     def test_rejects_z_basis(self):
         rng = GeneratorSource(np.random.default_rng(0))
         with pytest.raises(ValueError, match="X or Y"):
-            hbb_reduce(ghz_state(("A", "B", "C")), Basis.Z, rng)
-
-    def test_rejects_single_photon_input(self):
-        rng = GeneratorSource(np.random.default_rng(0))
-        with pytest.raises(ValueError, match="no photons left"):
-            hbb_reduce(basis_ket(Basis.Z, +1, "A"), Basis.X, rng)
+            hbb_reduce(Basis.Z, rng)
 
 
 class TestHardenedPreparation:

@@ -35,6 +35,7 @@ from helpers import (
     project_qubit,
     qubit_state,
     tensor,
+    unchecked_state,
 )
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -130,7 +131,7 @@ class TestCanonicalStates:
             SignalTag.PHI_MINUS_ROT: [0.5, -0.5, -0.5, -0.5],
         }
         for tag, amps in expected.items():
-            state = signal_state(tag)
+            state = signal_state(tag, ("B", "C"))
             assert state.labels == ("B", "C")
             np.testing.assert_allclose(state.amplitudes, amps, atol=ATOL)
 
@@ -141,12 +142,12 @@ class TestCanonicalStates:
         }
         for plain, rotated in pairs.items():
             turned = apply_unitary(
-                signal_state(plain), "C", ROTATION_SECOND_PHOTON
+                signal_state(plain, ("B", "C")), "C", ROTATION_SECOND_PHOTON
             )
-            assert overlap(turned, signal_state(rotated)) >= 1.0 - ATOL
+            assert overlap(turned, signal_state(rotated, ("B", "C"))) >= 1.0 - ATOL
 
     def test_ghz_amplitudes(self):
-        state = ghz_state()
+        state = ghz_state(("A", "B", "C"))
         expected = np.zeros(8)
         expected[0] = SQ2
         expected[7] = SQ2
@@ -163,7 +164,7 @@ class TestCanonicalStates:
         ket = basis_ket(Basis.Y, -1, "C")
         np.testing.assert_allclose(ket.amplitudes, [SQ2, -SQ2 * 1j], atol=ATOL)
         with pytest.raises(ValueError, match="outcome"):
-            basis_ket(Basis.Z, 0)
+            basis_ket(Basis.Z, 0, "Q")
 
     def test_cached_constructors_share_but_cannot_mutate(self):
         a = bell_state(BellOutcome.PHI_PLUS, ("B", "C"))
@@ -179,9 +180,11 @@ class TestCanonicalStates:
             custom_state(("Q",), [0.0, 0.0])
 
     def test_named_state_constructors(self):
-        assert signal_state(SignalTag.PSI_PLUS).labels == ("B", "C")
+        assert signal_state(SignalTag.PSI_PLUS, ("B", "C")).labels == ("B", "C")
         assert bell_state(BellOutcome.PHI_PLUS, ("B'", "C'")).labels == ("B'", "C'")
-        assert ghz_state().num_qubits == 3
+        assert ghz_state(("A", "B", "C")).num_qubits == 3
+        with pytest.raises(TypeError, match="unhashable"):
+            signal_state(SignalTag.PSI_PLUS, ["B", "C"])
         ket = basis_ket(Basis.X, -1, "B")
         assert ket.labels == ("B",)
         np.testing.assert_allclose(ket.amplitudes, [SQ2, -SQ2], atol=ATOL)
@@ -275,7 +278,7 @@ class TestProjections:
 
     def test_project_qubit_collapse_matches_manual_arithmetic(self):
         # Project C of psi+ onto |1>: remainder must be |0> on B with p=1/2.
-        state = signal_state(SignalTag.PSI_PLUS)
+        state = signal_state(SignalTag.PSI_PLUS, ("B", "C"))
         prob, post = project_qubit(state, "C", np.array([0.0, 1.0]))
         assert prob == pytest.approx(0.5, abs=ATOL)
         assert post.labels == ("B",)
@@ -401,7 +404,7 @@ class TestBornDraw:
 
     def test_no_forbidden_outcome_at_the_top_uniform(self):
         top = FixedUniform(TOP_UNIFORM)
-        plus_x = basis_ket(Basis.X, +1)
+        plus_x = basis_ket(Basis.X, +1, "Q")
         assert measure_qubit(plus_x, "Q", Basis.X, top).outcome == +1
         for kind in BELL_ORDER:
             state = bell_state(kind, ("B", "C"))
@@ -422,7 +425,7 @@ class TestBornDraw:
 
     def test_overnormalized_state_raises_on_the_second_outcome(self):
         # p(+1) = p(-1) = 0.64: every uniform lies below the total of 1.28.
-        heavy = StateVector._trusted(("Q",), np.array([0.8, 0.8], dtype=complex))
+        heavy = unchecked_state(("Q",), [0.8, 0.8])
         assert measure_qubit(heavy, "Q", Basis.Z, FixedUniform(0.5)).outcome == +1
         with pytest.raises(AssertionError, match="not normalized"):
             measure_qubit(heavy, "Q", Basis.Z, FixedUniform(0.7))
@@ -443,12 +446,10 @@ class TestMeasurementBases:
 
     def test_rotated_basis_contains_rotated_signals(self):
         got = PairBasis.ROTATED_BELL.vectors
-        np.testing.assert_allclose(
-            got[2], signal_state(SignalTag.PSI_PLUS_ROT).amplitudes, atol=ATOL
-        )
-        np.testing.assert_allclose(
-            got[1], signal_state(SignalTag.PHI_MINUS_ROT).amplitudes, atol=ATOL
-        )
+        for row, tag in ((2, SignalTag.PSI_PLUS_ROT), (1, SignalTag.PHI_MINUS_ROT)):
+            np.testing.assert_allclose(
+                got[row], signal_state(tag, ("B", "C")).amplitudes, atol=ATOL
+            )
 
     def test_both_bases_are_read_only_and_orthonormal(self):
         for vecs in (basis.vectors for basis in PairBasis):

@@ -189,7 +189,7 @@ class TestCrossFactorPairMeasurement:
                 result = reg.measure_pair(("B'", "C"), PairBasis.BELL, FixedUniform(u))
                 assert result.outcome is BELL_ORDER[idx]
                 got = reg.joint_state(("B", "C'"))
-                sig = signal_state(tag).amplitudes.reshape(2, 2)
+                sig = signal_state(tag, ("B", "C")).amplitudes.reshape(2, 2)
                 expected = (sig @ paulis[idx].T).reshape(-1)
                 fidelity = abs(np.vdot(expected, got.amplitudes)) ** 2 / (
                     np.vdot(expected, expected).real
